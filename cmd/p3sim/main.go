@@ -8,14 +8,12 @@
 //	p3sim -model vgg19 -strategy p3 -bw 15 -machines 4 -slice 50000 -trace
 //
 // The -sched flag re-runs any strategy under a different queue discipline
-// from the internal/sched registry (fifo, p3, rr, smallest, credit:<bytes>),
-// and -preempt enables resumable egress transmission: serialization happens
-// in segments of the given byte quantum and a strictly more urgent message
-// preempts an in-flight one at the next segment boundary — the
-// true-preemption upper bound that the paper's slicing approximates:
+// from the internal/sched registry (every name sched.Usage lists, e.g.
+// fifo, p3, tictac, credit:<bytes>, damped). An in-flight message always
+// finishes before the next one starts: urgent traffic overtakes bulk
+// traffic at message boundaries, which the strategy's slicing places:
 //
 //	p3sim -model vgg19 -strategy slicing -sched credit:1048576 -bw 15
-//	p3sim -model vgg19 -strategy p3 -bw 1.5 -preempt 65536
 //
 // The calibrated mode closes the stall-feedback loop: -calibrate runs two
 // passes — the first on the static FLOP-derived timing profile, the second
@@ -55,7 +53,6 @@ func main() {
 	modelName := flag.String("model", "resnet50", "model: resnet50|inception3|vgg19|sockeye|resnet110")
 	stratName := flag.String("strategy", "p3", "strategy: baseline|tensorflow|wfbp|slicing|p3|asgd")
 	schedName := flag.String("sched", "", "override the strategy's queue discipline: "+strings.Join(sched.Usage(), "|"))
-	preempt := flag.Int64("preempt", 0, "egress preemption quantum in wire bytes (0 = off: in-flight messages always finish)")
 	bw := flag.Float64("bw", 10, "per-direction NIC bandwidth in Gbps")
 	machines := flag.Int("machines", 4, "cluster size (workers == servers == machines)")
 	slice := flag.Int64("slice", 0, "max slice size in parameters (0 = paper default 50k; slicing/p3 only)")
@@ -121,16 +118,15 @@ func main() {
 		nShards = 1
 	}
 	cfg := cluster.Config{
-		Model:          m,
-		Machines:       *machines,
-		Strategy:       st,
-		BandwidthGbps:  *bw,
-		PreemptQuantum: *preempt,
-		WarmupIters:    *warmup,
-		MeasureIters:   *iters,
-		Seed:           *seed,
-		Recorder:       rec,
-		Shards:         nShards,
+		Model:         m,
+		Machines:      *machines,
+		Strategy:      st,
+		BandwidthGbps: *bw,
+		WarmupIters:   *warmup,
+		MeasureIters:  *iters,
+		Seed:          *seed,
+		Recorder:      rec,
+		Shards:        nShards,
 	}
 	topo, useTopo, err := topologyFromFlags(topoFlags{
 		machines: *machines, rackSize: *rackSize, oversub: *oversub,
@@ -195,10 +191,6 @@ func main() {
 		fmt.Printf("wrote measured stall profile to %s\n", *stallsOut)
 	}
 
-	preemptDesc := "off"
-	if *preempt > 0 {
-		preemptDesc = fmt.Sprintf("%d B", *preempt)
-	}
 	topoDesc := "flat"
 	if useTopo {
 		topoDesc = fmt.Sprintf("racks of %d, core %g:1", *rackSize, *oversub)
@@ -225,8 +217,8 @@ func main() {
 		}
 	}
 	fmt.Printf("model:       %s (%s)\n", m.Name, m)
-	fmt.Printf("strategy:    %s  sched: %s  preempt: %s  machines: %d  bandwidth: %g Gbps\n",
-		st.Name, st.Discipline(), preemptDesc, r.Machines, r.BandwidthGbps)
+	fmt.Printf("strategy:    %s  sched: %s  machines: %d  bandwidth: %g Gbps\n",
+		st.Name, st.Discipline(), r.Machines, r.BandwidthGbps)
 	fmt.Printf("engine:      %d shard(s)  topology: %s\n", nShards, topoDesc)
 	fmt.Printf("throughput:  %.1f %s/s aggregate (%.1f per machine)\n",
 		r.Throughput, m.SampleUnit, r.Throughput/float64(r.Machines))

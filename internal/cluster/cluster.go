@@ -65,12 +65,6 @@ type Config struct {
 	// profile rebuilt from a prior run's measured stalls. nil selects the
 	// static strategy.ComputeProfile.
 	Profile *sched.Profile
-	// PreemptQuantum > 0 makes NIC egress transmission resumable in
-	// segments of this many wire bytes (netsim.Config.PreemptQuantum): a
-	// strictly more urgent message preempts an in-flight one at the next
-	// segment boundary — the true-preemption upper bound that the paper's
-	// slicing approximates. 0 keeps message-granularity preemption.
-	PreemptQuantum int64
 	// UpdateRateGBps is the server-side per-byte processing rate in
 	// gigabytes per second: deserializing a received gradient, accumulating
 	// it, and (on the last push) applying the SGD update. ps-lite servers
@@ -245,9 +239,6 @@ type Result struct {
 	Events    uint64
 	Msgs      int64
 	WireBytes int64
-	// Preemptions counts egress transmissions parked mid-flight for a more
-	// urgent message (0 unless Config.PreemptQuantum > 0).
-	Preemptions int64
 	// CoreBytes is the payload volume that serialized through the rack
 	// uplink/downlink ports (0 on a flat network) — the traffic
 	// RackAggregation exists to shrink.
@@ -542,9 +533,6 @@ func newClusterSim(cfg Config) *clusterSim {
 		netCfg.BandwidthGbps = cfg.BandwidthGbps
 	}
 	netCfg.Egress = cfg.Strategy.Discipline()
-	if cfg.PreemptQuantum > 0 {
-		netCfg.PreemptQuantum = cfg.PreemptQuantum
-	}
 	if cfg.Topology.RackSize > 0 {
 		netCfg.Topology = cfg.Topology
 	}
@@ -1435,7 +1423,6 @@ func (cs *clusterSim) result() Result {
 		Events:          cs.exec.Processed(),
 		Msgs:            cs.net.MsgsDelivered(),
 		WireBytes:       cs.net.BytesDelivered(),
-		Preemptions:     cs.net.Preemptions(),
 		CoreBytes:       cs.net.CoreBytes(),
 		SpineBytes:      cs.net.SpineBytes(),
 	}

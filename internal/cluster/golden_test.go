@@ -166,23 +166,21 @@ var goldens15 = []golden{
 	},
 }
 
-// runGolden executes one golden configuration; preempt > 0 exercises the
-// segmented egress path.
-func runGolden(t *testing.T, name string, gbps float64, preempt int64) Result {
+// runGolden executes one golden configuration.
+func runGolden(t *testing.T, name string, gbps float64) Result {
 	t.Helper()
 	st, err := strategy.ByName(name)
 	if err != nil {
 		t.Fatalf("strategy %q: %v", name, err)
 	}
 	return Run(Config{
-		Model:          zoo.ByName("resnet110"),
-		Machines:       4,
-		Strategy:       st,
-		BandwidthGbps:  gbps,
-		PreemptQuantum: preempt,
-		WarmupIters:    2,
-		MeasureIters:   4,
-		Seed:           1,
+		Model:         zoo.ByName("resnet110"),
+		Machines:      4,
+		Strategy:      st,
+		BandwidthGbps: gbps,
+		WarmupIters:   2,
+		MeasureIters:  4,
+		Seed:          1,
 	})
 }
 
@@ -231,33 +229,7 @@ func TestGoldenParityWithSeed(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, g := range c.goldens {
-			checkGolden(t, g, c.gbps, runGolden(t, g.Strategy, c.gbps, 0))
-		}
-	}
-}
-
-// TestGoldenParityPreemptiveDispatchPath pins the new dispatch machinery
-// against the same pre-refactor goldens: with PreemptQuantum set to more
-// than any message's wire size, every transmission is a single segment of
-// the resumable egress path — per-flow subqueues, parked-transmission
-// bookkeeping, telescoped segment timing and all — and must reproduce the
-// seed Results bit-identically for every strategy at both bandwidths. The
-// refactor may only change behaviour when a preemption actually fires.
-func TestGoldenParityPreemptiveDispatchPath(t *testing.T) {
-	cases := []struct {
-		gbps    float64
-		goldens []golden
-	}{
-		{10, goldens10},
-		{1.5, goldens15},
-	}
-	for _, c := range cases {
-		for _, g := range c.goldens {
-			r := runGolden(t, g.Strategy, c.gbps, 1<<30) // larger than any message: one segment each
-			if r.Preemptions != 0 {
-				t.Errorf("%s@%g: %d preemptions with an over-size quantum", g.Strategy, c.gbps, r.Preemptions)
-			}
-			checkGolden(t, g, c.gbps, r)
+			checkGolden(t, g, c.gbps, runGolden(t, g.Strategy, c.gbps))
 		}
 	}
 }

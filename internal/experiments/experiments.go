@@ -75,22 +75,6 @@ func run(m *model.Model, s strategy.Strategy, machines int, gbps float64, o Opti
 	})
 }
 
-// runPreempt is run with an egress preemption quantum (0 = off) and no
-// recorder.
-func runPreempt(m *model.Model, s strategy.Strategy, machines int, gbps float64, preempt int64, o Options) cluster.Result {
-	warm, measure := o.iters()
-	return cluster.Run(cluster.Config{
-		Model:          m,
-		Machines:       machines,
-		Strategy:       s,
-		BandwidthGbps:  gbps,
-		PreemptQuantum: preempt,
-		WarmupIters:    warm,
-		MeasureIters:   measure,
-		Seed:           o.Seed + 1,
-	})
-}
-
 // awsModel derives the AWS g3.4xlarge variant of a model used by the
 // scalability study (Section 5.5): the paper's Figure 10 was measured on
 // M60 GPUs, roughly half the P4000 throughput of the Figure 7 testbed

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"p3/internal/netsim"
+	"p3/internal/cluster"
 	"p3/internal/ring"
 	"p3/internal/sched"
 	"p3/internal/strategy"
@@ -25,8 +25,8 @@ const (
 	PathRing    = "ring"
 )
 
-// SchedulerRow is one (model, path, discipline, preemption) cell of the
-// scheduler ablation.
+// SchedulerRow is one (model, path, discipline) cell of the scheduler
+// ablation.
 type SchedulerRow struct {
 	Model         string
 	BandwidthGbps float64
@@ -34,20 +34,12 @@ type SchedulerRow struct {
 	// (all-reduce).
 	Path  string
 	Sched string
-	// Preempt is the egress preemption quantum in wire bytes (0 = off:
-	// an in-flight message always finishes — the paper's semantics).
-	// Non-zero rows model true sub-message preemption, the upper bound
-	// that parameter slicing approximates. Preemption is inert by
-	// construction for fifo (nothing is ever more urgent) and rr (stride
-	// rank is a dispatch position, not urgency), so those rows pin the
-	// segmented path's bit-parity instead of measuring a policy.
-	Preempt int64
 	// PerMachine is the per-machine training throughput (samples/sec).
 	PerMachine float64
 	// IterMs is the mean iteration makespan in milliseconds.
 	IterMs float64
-	// TTCSpeedup is the time-to-convergence speedup over non-preemptive
-	// fifo on the same path. Synchronous SGD's convergence trajectory is
+	// TTCSpeedup is the time-to-convergence speedup over fifo on the same
+	// path. Synchronous SGD's convergence trajectory is
 	// identical under every discipline (the wire order changes, the math
 	// does not), so time-to-convergence scales exactly with iteration
 	// time: fifo_iter / sched_iter.
@@ -56,7 +48,7 @@ type SchedulerRow struct {
 
 // schedCases returns the (model, bandwidth) grid of the ablation: each
 // sweep model at its paper-headline bandwidth, plus every zoo model at the
-// 1.5 Gbps bottleneck where ordering (and preemption) dominates. Fast mode
+// 1.5 Gbps bottleneck where ordering dominates. Fast mode
 // trims the low-bandwidth axis to the cheapest model.
 func schedCases(o Options) []struct {
 	model string
@@ -86,36 +78,31 @@ func schedCases(o Options) []struct {
 }
 
 // SchedulerAblation compares every registered queue discipline on the zoo
-// models, on both aggregation paths and with egress preemption off and on —
-// the payoff of extracting internal/sched: the paper's p3-vs-fifo
-// comparison becomes one row pair in a sweep that also covers round-robin
-// fairness, shortest-job-first, ByteScheduler-style credit windows, TicTac
-// critical-path ranking, per-destination adaptive credit, and the
-// true-preemption upper bound (netsim.DefaultPreemptQuantum segments) that
-// parameter slicing approximates, with no changes outside the strategy's
-// Sched name and the network's preemption quantum.
+// models, on both aggregation paths — the payoff of extracting
+// internal/sched: the paper's p3-vs-fifo comparison becomes one row pair in
+// a sweep that also covers round-robin fairness, shortest-job-first,
+// ByteScheduler-style credit windows, TicTac critical-path ranking and
+// per-destination adaptive credit, with no change outside the strategy's
+// Sched name.
 func SchedulerAblation(o Options) []SchedulerRow {
 	warm, measure := o.iters()
 	// Flatten the sweep into independent cells first, then fill every cell
 	// on the parEach worker pool: each cell is one pure simulation, so the
 	// table comes out bit-identical to the serial sweep, only bounded by
-	// the slowest core instead of the sum of all cells. The non-preemptive
-	// fifo cell doubles as the TTCSpeedup reference of its (model, path)
+	// the slowest core instead of the sum of all cells. The fifo cell
+	// doubles as the TTCSpeedup reference of its (model, path)
 	// group, resolved in a serial pass after the measurements land.
 	type cell struct {
-		model   string
-		gbps    float64
-		path    string
-		sched   string
-		preempt int64
+		model string
+		gbps  float64
+		path  string
+		sched string
 	}
 	var cells []cell
 	for _, c := range schedCases(o) {
 		for _, path := range []string{PathCluster, PathRing} {
 			for _, name := range SchedDisciplines() {
-				for _, preempt := range []int64{0, netsim.DefaultPreemptQuantum} {
-					cells = append(cells, cell{c.model, c.gbps, path, name, preempt})
-				}
+				cells = append(cells, cell{c.model, c.gbps, path, name})
 			}
 		}
 	}
@@ -133,25 +120,26 @@ func SchedulerAblation(o Options) []SchedulerRow {
 			BandwidthGbps: c.gbps,
 			Path:          c.path,
 			Sched:         c.sched,
-			Preempt:       c.preempt,
 		}
 		if c.path == PathRing {
 			r := ring.Run(ring.Config{
 				Model: m, Machines: 4, Strategy: st, BandwidthGbps: c.gbps,
-				PreemptQuantum: c.preempt,
-				WarmupIters:    warm, MeasureIters: measure, Seed: o.Seed + 1,
+				WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
 			})
 			row.PerMachine = r.Throughput / float64(r.Machines)
 			row.IterMs = r.MeanIterTime.Millis()
 		} else {
-			r := runPreempt(m, st, 4, c.gbps, c.preempt, o)
+			r := cluster.Run(cluster.Config{
+				Model: m, Machines: 4, Strategy: st, BandwidthGbps: c.gbps,
+				WarmupIters: warm, MeasureIters: measure, Seed: o.Seed + 1,
+			})
 			row.PerMachine = r.Throughput / float64(r.Machines)
 			row.IterMs = r.MeanIterTime.Millis()
 		}
 		rows[i] = row
 	})
 	// Resolve TTCSpeedup against each (model, bandwidth, path) group's
-	// non-preemptive fifo row (a model appears at several bandwidths).
+	// fifo row (a model appears at several bandwidths).
 	type group struct {
 		model string
 		gbps  float64
@@ -159,7 +147,7 @@ func SchedulerAblation(o Options) []SchedulerRow {
 	}
 	fifoIter := make(map[group]float64)
 	for i := range rows {
-		if rows[i].Sched == "fifo" && rows[i].Preempt == 0 {
+		if rows[i].Sched == "fifo" {
 			fifoIter[group{rows[i].Model, rows[i].BandwidthGbps, rows[i].Path}] = rows[i].IterMs
 		}
 	}
@@ -170,16 +158,12 @@ func SchedulerAblation(o Options) []SchedulerRow {
 }
 
 // SchedulerTable renders the ablation, one line per (model, path,
-// discipline, preemption) cell.
+// discipline) cell.
 func SchedulerTable(rows []SchedulerRow) string {
-	out := "model\tGbps\tpath\tsched\tpreempt\tsamples/s/machine\titer_ms\tttc_speedup_vs_fifo\n"
+	out := "model\tGbps\tpath\tsched\tsamples/s/machine\titer_ms\tttc_speedup_vs_fifo\n"
 	for _, r := range rows {
-		preempt := "off"
-		if r.Preempt > 0 {
-			preempt = fmt.Sprintf("%dKiB", r.Preempt>>10)
-		}
-		out += fmt.Sprintf("%s\t%g\t%s\t%s\t%s\t%.1f\t%.2f\t%.3fx\n",
-			r.Model, r.BandwidthGbps, r.Path, r.Sched, preempt, r.PerMachine, r.IterMs, r.TTCSpeedup)
+		out += fmt.Sprintf("%s\t%g\t%s\t%s\t%.1f\t%.2f\t%.3fx\n",
+			r.Model, r.BandwidthGbps, r.Path, r.Sched, r.PerMachine, r.IterMs, r.TTCSpeedup)
 	}
 	return out
 }

@@ -7,19 +7,17 @@ import (
 )
 
 // TestSchedulerAblation checks the shape of the sweep and its headline
-// claims: every registered discipline appears on both aggregation paths
-// with the preemption axis off and on, the p3 discipline beats fifo on
-// time-to-convergence for every sweep model at its paper bandwidth, and the
-// model-aware disciplines (tictac, credit-adaptive) land close to p3 rather
-// than collapsing.
+// claims: every registered discipline appears on both aggregation paths,
+// the p3 discipline beats fifo on time-to-convergence for every sweep model
+// at its paper bandwidth, and the model-aware disciplines (tictac,
+// credit-adaptive) land close to p3 rather than collapsing.
 func TestSchedulerAblation(t *testing.T) {
 	o := Options{Fast: true}
 	rows := SchedulerAblation(o)
 	cases := len(schedCases(o))
 	const paths = 2
-	const preempts = 2
-	if len(rows) != cases*paths*len(SchedDisciplines())*preempts {
-		t.Fatalf("%d rows, want %d", len(rows), cases*paths*len(SchedDisciplines())*preempts)
+	if len(rows) != cases*paths*len(SchedDisciplines()) {
+		t.Fatalf("%d rows, want %d", len(rows), cases*paths*len(SchedDisciplines()))
 	}
 	for _, name := range []string{"tictac", "credit-adaptive"} {
 		found := false
@@ -43,9 +41,7 @@ func TestSchedulerAblation(t *testing.T) {
 		if byCell[key] == nil {
 			byCell[key] = map[string]SchedulerRow{}
 		}
-		if r.Preempt == 0 {
-			byCell[key][r.Sched] = r
-		}
+		byCell[key][r.Sched] = r
 	}
 	if len(byCell) != cases*paths {
 		t.Fatalf("%d (model, bandwidth, path) cells, want %d", len(byCell), cases*paths)
@@ -94,20 +90,6 @@ func TestSchedulerAblation(t *testing.T) {
 			if r.PerMachine < fifo.PerMachine*0.66 {
 				t.Errorf("%v/%s: throughput %.1f collapsed vs fifo %.1f", cell, name, r.PerMachine, fifo.PerMachine)
 			}
-		}
-	}
-	// The preemption axis: fifo never preempts (nothing is ever more
-	// urgent) and neither does rr (stride rank is a dispatch position, not
-	// urgency), so their preemptive rows must reproduce the non-preemptive
-	// numbers exactly — segment timing telescopes.
-	for _, r := range rows {
-		if (r.Sched != "fifo" && r.Sched != "rr") || r.Preempt == 0 {
-			continue
-		}
-		base := byCell[cellKey{r.Model, r.BandwidthGbps, r.Path}][r.Sched]
-		if r.IterMs != base.IterMs || r.PerMachine != base.PerMachine {
-			t.Errorf("%s/%g/%s: preemptive %s (%.4f ms) != %s (%.4f ms); preemption must be inert",
-				r.Model, r.BandwidthGbps, r.Path, r.Sched, r.IterMs, r.Sched, base.IterMs)
 		}
 	}
 }

@@ -10,13 +10,10 @@
 // The egress queue discipline is pluggable (Config.Egress names a
 // sched.Discipline): "fifo" reproduces the baseline strategies, "p3" the
 // worker-side producer/consumer mechanism of Section 4.2 — the
-// highest-priority queued message is always transmitted next, and by
-// default an in-flight message finishes before the next choice is made
-// (preemption at message granularity). Config.PreemptQuantum makes egress
-// transmission resumable below message granularity: an express message may
-// park the in-flight transfer at a segment boundary and the remainder
-// resumes later with progress retained — the true-preemption "what-if"
-// upper bound that the paper's slicing approximates. Credit-gated
+// highest-priority queued message is always transmitted next, and an
+// in-flight message always finishes before the next choice is made
+// (preemption at message granularity: parameter slicing, not the NIC,
+// decides how soon an urgent chunk can overtake bulk traffic). Credit-gated
 // disciplines see the true transmission window: a message is charged in
 // flight from the moment its serialization starts until it is fully
 // delivered at the receiver, so "credit:<bytes>" bounds the bytes in the
@@ -166,20 +163,6 @@ type Config struct {
 	// releases. Credit refunds still happen at aggregator arrival: the
 	// sender's transmission window covers the wire, not the reduce queue.
 	AggReduceGBps float64
-	// PreemptQuantum > 0 makes egress transmission resumable: serialization
-	// is charged in segments of at most this many wire bytes, and at each
-	// segment boundary a strictly more urgent admissible queued message no
-	// larger than the quantum (an "express" message) that is also smaller
-	// than the in-flight remainder preempts the in-flight transmission,
-	// which parks with its progress retained and resumes — ahead of its own
-	// class, via priority inheritance — once the displacing burst drains
-	// (the per-message overhead is charged only once). This models true
-	// sub-message preemption, the upper bound that P3's slicing
-	// approximates; 0 keeps the paper's semantics: an in-flight message
-	// always finishes before the next scheduling choice. Segment timing
-	// telescopes exactly, so a run in which no preemption fires is
-	// bit-identical to PreemptQuantum 0.
-	PreemptQuantum int64
 }
 
 // Topology describes a multi-rack interconnect: racks of RackSize machines
@@ -413,14 +396,6 @@ func (c Config) LPShards(n, shards int) []int {
 	return lp
 }
 
-// DefaultPreemptQuantum is the segment size used by the preemption ablation
-// when preemptive transmission is enabled without an explicit quantum:
-// 64 KiB is about a third of a default 50k-parameter slice, i.e. roughly
-// 0.35 ms of serialization at the paper's 1.5 Gbps bottleneck bandwidth —
-// the scheduling slack within which preemptive and non-preemptive timings
-// of an already-sliced strategy are indistinguishable.
-const DefaultPreemptQuantum = 64 << 10
-
 // DefaultConfig returns the interconnect constants used for every experiment
 // (DESIGN.md §5), with the bandwidth left for the caller to set.
 func DefaultConfig(gbps float64) Config {
@@ -483,45 +458,17 @@ func msgDest(m Message) int32 {
 	return int32(m.To)
 }
 
-// msgItem is the scheduler-visible view of a message at a core port queue;
-// the destination key makes each (port, destination) pair one flow. (The
-// port needs no field: a core queue belongs to one port LP, whose index is
-// injected into source-aware disciplines via sched.ApplySource.)
+// msgItem is the scheduler-visible view of a message at every port queue —
+// host NIC egress, ToR and spine; the destination key makes each (port,
+// destination) pair one flow. (The port needs no field: a queue belongs to
+// one LP, whose index is injected into source-aware disciplines via
+// sched.ApplySource.)
 func msgItem(m Message) sched.Item {
 	return sched.Item{Priority: m.Priority, Bytes: m.Bytes, Dest: msgDest(m)}
 }
 
 // Handler receives fully delivered messages.
 type Handler func(Message)
-
-// txState is one resumable egress transmission: the message plus how much
-// of its wire size (payload and header) has been serialized. With
-// preemption disabled it is popped once and transmitted whole; with a
-// quantum a preempted transmission is parked on its NIC carrying its
-// progress and resumes from where it stopped.
-type txState struct {
-	msg Message
-	// pri is the effective urgency class: it starts at msg.Priority and is
-	// raised to the displacing class each time the transmission is parked
-	// or passed over (priority inheritance). The inherited class is what
-	// the resume rule compares against, so a parked tail yields only to
-	// traffic strictly more urgent than what last displaced it — without
-	// inheritance it would defer behind every future more-urgent arrival
-	// (backward passes generate ever more urgent classes), and under a
-	// comm-bound backlog that starves exactly the late-layer bulk tails
-	// whose stalls already bind the iteration, inverting the "preemption
-	// as upper bound" claim this models.
-	pri  int32
-	wire int64 // total wire bytes: payload + header
-	sent int64 // wire bytes already serialized
-}
-
-// txItem is the scheduler-visible view of a transmission. It reads only
-// fields that never change while the element is queued (pri is raised only
-// while the element is parked outside the queue), so the view stays pure.
-func txItem(t *txState) sched.Item {
-	return sched.Item{Priority: t.pri, Bytes: t.msg.Bytes, Dest: msgDest(t.msg)}
-}
 
 // nicStats are one machine's transfer counters. They live on the nic —
 // not globally — so that under the sharded engine each shard increments
@@ -532,27 +479,19 @@ type nicStats struct {
 	bytesSent      int64
 	msgsDelivered  int64
 	bytesDelivered int64
-	preemptions    int64
 }
 
 type nic struct {
-	egress     *sched.Queue[*txState]
+	// egress holds queued messages by pointer: a flow heap entry stays
+	// small, and Send's one allocation per message is the element itself.
+	egress     *sched.Queue[*Message]
 	egressBusy bool
-	// parked holds preempted transmissions, most recently parked last. Each
-	// entry was displaced by traffic strictly more urgent than its
-	// (inherited) class, so the stack is always ordered by urgency with the
-	// most urgent on top. Parked transmissions stay charged against any
-	// credit window — their bytes are partially on the wire — and resume
-	// before every queued element that is not strictly more urgent than
-	// the class that displaced them: preemption costs a tail exactly the
-	// displacing burst, never its position within its own class.
-	parked     []*txState
 	ingress    *pq.Queue[Message]
 	ingressBsy bool
 	stats      nicStats
 	// rateScale multiplies the NIC's serialization rate (both directions);
-	// 1 outside any scripted degradation window. It is read at segment (or
-	// whole-message) start on the owning LP, so scheduled changes quantize
+	// 1 outside any scripted degradation window. It is read at
+	// serialization start on the owning LP, so scheduled changes quantize
 	// to the LP's own timeline.
 	rateScale float64
 }
@@ -695,7 +634,7 @@ func NewOnExec(x sim.Exec, n int, cfg Config, handler Handler, rec *trace.Record
 		// (damped): every NIC resolves equal-rank ties toward a different
 		// destination, de-synchronizing otherwise identical schedules.
 		sched.ApplySource(disc, int32(i))
-		q := sched.NewQueue(disc, txItem)
+		q := sched.NewQueue(disc, func(m *Message) sched.Item { return msgItem(*m) })
 		// The refund events of the window-relaxed credit protocol exist
 		// only for gated disciplines; ungated runs schedule none and stay
 		// bit-identical to earlier releases.
@@ -805,12 +744,6 @@ func (nw *Network) BytesDelivered() int64 {
 	return nw.sumStats(func(s *nicStats) int64 { return s.bytesDelivered })
 }
 
-// Preemptions counts in-flight transmissions parked for a more urgent
-// message (always 0 with PreemptQuantum 0).
-func (nw *Network) Preemptions() int64 {
-	return nw.sumStats(func(s *nicStats) int64 { return s.preemptions })
-}
-
 // CoreBytes is the total payload volume that serialized through the rack
 // uplink and downlink ports — the core traffic the oversubscription ratio
 // throttles, and the number in-rack aggregation exists to shrink. 0 on a
@@ -899,7 +832,8 @@ func (nw *Network) Send(m Message) {
 		})
 		return
 	}
-	nw.nics[m.From].egress.Push(&txState{msg: m, pri: m.Priority, wire: m.Bytes + nw.cfg.HeaderBytes})
+	tx := m // only the NIC path pays for a heap copy
+	nw.nics[m.From].egress.Push(&tx)
 	nw.pumpEgress(m.From)
 }
 
@@ -1063,13 +997,11 @@ func (nw *Network) routeFromPort(l *coreLink, m Message) {
 // is an ordinary cross-LP edge on any shard count and both engines order
 // it canonically). Called only for gated egress disciplines; ungated runs
 // schedule no refund events at all. src is the LP the delivery completed
-// on. The throwaway txState is fine: Done reads only the Bytes and Dest
-// of the Item view, which the message determines.
+// on.
 func (nw *Network) refundCredit(src int, m Message) {
 	from := m.From
 	nw.xfer(src, from, nw.procs[src].Now()+nw.look, func() {
-		d := txState{msg: m, pri: m.Priority}
-		nw.nics[from].egress.Done(&d)
+		nw.nics[from].egress.Done(&m)
 		nw.pumpEgress(from)
 	})
 }
@@ -1239,32 +1171,6 @@ func (nw *Network) pumpEgress(machine int) {
 	if n.egressBusy {
 		return
 	}
-	// A parked (preempted) transmission resumes before anything that is
-	// not strictly more urgent than the class that displaced it. The
-	// resume path never consults the credit gate, so a parked tail cannot
-	// wedge: when the window refuses everything queued, the tail — whose
-	// bytes are already charged in flight — is what makes progress.
-	if k := len(n.parked); k > 0 {
-		tail := n.parked[k-1]
-		if !n.egress.Preempts(tail) {
-			n.parked = n.parked[:k-1]
-			// Re-charge the resumed remainder against its flow's window
-			// (a Parker discipline stopped counting it while parked).
-			n.egress.Resume(tail)
-			n.egressBusy = true
-			nw.pumpSegment(machine, tail)
-			return
-		}
-		// Deferred again: re-inherit the displacing class, so the tail
-		// resumes after this burst too instead of deferring to every later
-		// (ever more urgent) arrival. Urgency is the discipline's order —
-		// under tictac a numerically larger class can be strictly more
-		// urgent, and a raw integer comparison here would skip the
-		// inheritance and reopen the unbounded-deferral starvation.
-		if h, ok := n.egress.Peek(); ok && n.egress.Discipline().Less(txItem(h), txItem(tail)) {
-			tail.pri = h.pri
-		}
-	}
 	// PopReady respects a credit-gated discipline's transmission window (a
 	// refused head stays queued until a delivery returns credit — see
 	// pumpIngress, which repumps this egress) and skips a credit-blocked
@@ -1274,11 +1180,7 @@ func (nw *Network) pumpEgress(machine int) {
 		return
 	}
 	n.egressBusy = true
-	if nw.cfg.PreemptQuantum > 0 {
-		nw.pumpSegment(machine, tx)
-		return
-	}
-	m := tx.msg
+	m := *tx
 	start := p.Now()
 	dur := nw.wireTime(m.Bytes)
 	if s := n.rateScale; s != 1 {
@@ -1291,80 +1193,6 @@ func (nw *Network) pumpEgress(machine int) {
 		// Hand off to the next hop after propagation.
 		nw.forward(machine, m)
 		nw.pumpEgress(machine)
-	})
-}
-
-// pumpSegment serializes tx's next segment of at most PreemptQuantum wire
-// bytes. Segment boundaries are computed from cumulative byte offsets
-// (serial time of sent+seg minus serial time of sent), so the durations
-// telescope: a transmission that is never preempted completes at exactly
-// the tick the whole-message path would produce, bit-identical for any
-// quantum, and preemption changes only the interleaving, never the total
-// serialization cost (the per-message overhead is charged once, on the
-// first segment).
-//
-// At each segment boundary the most urgent admissible queued message
-// preempts when it wins the exchange outright: it must be strictly more
-// urgent than the in-flight transmission AND shorter than the
-// transmission's remaining wire bytes. The second condition is the
-// shortest-remaining-first test that makes preemption a genuine upper
-// bound: the urgent message saves up to the whole remainder while the
-// parked tail loses only the preemptor's (smaller) service time.
-// Preempting for an equal-or-larger message — e.g. one uniform parameter
-// slice overtaking another — trades a delay for an equal delay and only
-// churns the schedule, so slices that P3 has already cut to the preemption
-// scale pass untouched: slicing itself is the approximation of preemption,
-// which is the paper's claim.
-func (nw *Network) pumpSegment(machine int, tx *txState) {
-	n := &nw.nics[machine]
-	p := nw.procs[machine]
-	seg := tx.wire - tx.sent
-	if seg > nw.cfg.PreemptQuantum {
-		seg = nw.cfg.PreemptQuantum
-	}
-	rate := nw.cfg.BandwidthGbps
-	if s := n.rateScale; s != 1 {
-		// Sampled once per segment on the owning LP: a degradation window
-		// opening mid-message slows only the segments that start inside it.
-		rate *= s
-	}
-	serialAt := func(sent int64) sim.Time {
-		return sim.Time(float64(sent) * 8 / rate)
-	}
-	dur := serialAt(tx.sent+seg) - serialAt(tx.sent)
-	if tx.sent == 0 {
-		dur = nw.cfg.PerMsgOverhead + dur
-	}
-	start := p.Now()
-	p.After(dur, func() {
-		nw.rec.AddRange(machine, trace.Out, start, start+dur, seg)
-		tx.sent += seg
-		if tx.sent == tx.wire {
-			n.egressBusy = false
-			m := tx.msg
-			nw.forward(machine, m)
-			nw.pumpEgress(machine)
-			return
-		}
-		d := n.egress.Discipline()
-		if pre, ok := n.egress.PopReadyIf(func(c *txState) bool {
-			return d.Less(txItem(c), txItem(tx)) &&
-				c.wire <= nw.cfg.PreemptQuantum && c.wire < tx.wire-tx.sent
-		}); ok {
-			// Inherit the displacing class unconditionally: pre is strictly
-			// more urgent than tx by the discipline's order (the preemption
-			// condition), which under tictac need not mean a numerically
-			// smaller class.
-			tx.pri = pre.pri
-			n.parked = append(n.parked, tx)
-			// A Parker discipline stops counting the parked remainder
-			// against its flow's admission window until it resumes.
-			n.egress.Park(tx)
-			n.stats.preemptions++
-			nw.pumpSegment(machine, pre)
-			return
-		}
-		nw.pumpSegment(machine, tx)
 	})
 }
 

@@ -279,113 +279,36 @@ func TestDefaultConfig(t *testing.T) {
 	}
 }
 
-// TestPreemptiveEgressRecoversUrgent: with a preemption quantum, a small
-// urgent message overtakes an in-flight bulk transfer at the next segment
-// boundary; the bulk message retains its progress and pays exactly the
-// urgent message's service time. Times are exact: 8 Gbps = 1 byte/ns,
-// no overheads.
+// TestPreemptiveEgressRecoversUrgent: the NIC never interrupts an in-flight
+// message, so an urgent message that arrives behind a whole bulk transfer
+// waits out its full serialization; slicing the same bulk bytes is what
+// lets the urgent message overtake at the next slice boundary. Times are
+// exact: 8 Gbps = 1 byte/ns, no overheads.
 func TestPreemptiveEgressRecoversUrgent(t *testing.T) {
-	run := func(quantum int64) map[int32]sim.Time {
-		cfg := cleanCfg("p3")
-		cfg.PreemptQuantum = quantum
+	run := func(slices int) map[int32]sim.Time {
 		out := map[int32]sim.Time{}
 		var eng sim.Engine
-		nw := New(&eng, 2, cfg, func(m Message) { out[m.Chunk] = eng.Now() }, nil)
-		nw.Send(Message{From: 0, To: 1, Bytes: 10_000, Priority: 9, Chunk: 0})
+		nw := New(&eng, 2, cleanCfg("p3"), func(m Message) { out[m.Chunk] = eng.Now() }, nil)
+		for i := 0; i < slices; i++ {
+			nw.Send(Message{From: 0, To: 1, Bytes: int64(10_000 / slices), Priority: 9, Chunk: int32(i)})
+		}
 		eng.After(100, func() {
-			nw.Send(Message{From: 0, To: 1, Bytes: 100, Priority: 0, Chunk: 1})
+			nw.Send(Message{From: 0, To: 1, Bytes: 100, Priority: 0, Chunk: -1})
 		})
 		eng.Run()
 		return out
 	}
-	base := run(0)
-	// Non-preemptive: urgent waits out the full bulk serialization
-	// (egress 10000..10100, ingress idle until the bulk drains at 20000).
-	if base[1] != 20100 || base[0] != 20000 {
-		t.Fatalf("non-preemptive deliveries = %v, want urgent 20100, bulk 20000", base)
+	// Whole message: bulk egress 0..10000, ingress 10000..20000; the urgent
+	// message's egress 10000..10100 waits on the busy ingress until 20000.
+	whole := run(1)
+	if whole[-1] != 20100 || whole[0] != 20000 {
+		t.Fatalf("whole-message deliveries = %v, want urgent 20100, bulk 20000", whole)
 	}
-	pre := run(1000)
-	// Preemptive: the urgent message starts at the 1000-byte boundary
-	// (egress 1000..1100, ingress 1100..1200); the bulk tail resumes and
-	// finishes one urgent-service later than before (egress done 10100,
-	// ingress 10100..20100).
-	if pre[1] != 1200 {
-		t.Fatalf("urgent delivered at %v, want 1200 (next segment boundary)", pre[1])
-	}
-	if pre[0] != 20100 {
-		t.Fatalf("bulk delivered at %v, want 20100 (progress retained, one urgent service paid)", pre[0])
-	}
-}
-
-// TestPreemptQuantumTimingTelescopes: segment durations are computed from
-// cumulative byte offsets, so when no preemption fires a segmented run is
-// bit-identical to the whole-message path — for any quantum, overheads
-// included.
-func TestPreemptQuantumTimingTelescopes(t *testing.T) {
-	run := func(egress string, quantum int64) []delivery {
-		cfg := DefaultConfig(1.5) // real overheads, headers, prop delay
-		cfg.Egress = egress
-		cfg.PreemptQuantum = quantum
-		var eng sim.Engine
-		var got []delivery
-		nw := New(&eng, 3, cfg, func(m Message) {
-			got = append(got, delivery{m, eng.Now()})
-		}, nil)
-		for i := 0; i < 40; i++ {
-			nw.Send(Message{
-				From: i % 3, To: (i + 1) % 3, Bytes: int64(i*7001 + 13),
-				Priority: int32(i % 5), Chunk: int32(i),
-			})
-		}
-		eng.Run()
-		return got
-	}
-	for _, egress := range []string{"fifo", "p3"} {
-		base := run(egress, 0)
-		for _, q := range []int64{999, 64 << 10, 1 << 30} {
-			got := run(egress, q)
-			// fifo never preempts; this p3 workload (all queued up front,
-			// popped in priority order) never triggers an inversion against
-			// an in-flight more-urgent message either.
-			if len(got) != len(base) {
-				t.Fatalf("%s q=%d: %d deliveries, want %d", egress, q, len(got), len(base))
-			}
-			for i := range base {
-				if got[i].m.Chunk != base[i].m.Chunk || got[i].at != base[i].at {
-					t.Fatalf("%s q=%d: delivery %d = chunk %d @%v, want chunk %d @%v",
-						egress, q, i, got[i].m.Chunk, got[i].at, base[i].m.Chunk, base[i].at)
-				}
-			}
-		}
-	}
-}
-
-// TestPreemptionConservesBytes: preemption reorders serialization but every
-// byte still arrives exactly once, and the Preemptions counter reports the
-// parking events.
-func TestPreemptionConservesBytes(t *testing.T) {
-	cfg := cleanCfg("p3")
-	cfg.PreemptQuantum = 500
-	var eng sim.Engine
-	var delivered int64
-	var nw *Network
-	nw = New(&eng, 2, cfg, func(m Message) { delivered += m.Bytes }, nil)
-	var sent int64
-	nw.Send(Message{From: 0, To: 1, Bytes: 50_000, Priority: 9, Chunk: 0})
-	sent += 50_000
-	for i := 0; i < 10; i++ {
-		at := sim.Time(200 + i*300)
-		b := int64(100 + i*10)
-		eng.After(at, func() {
-			nw.Send(Message{From: 0, To: 1, Bytes: b, Priority: 0, Chunk: int32(i + 1)})
-		})
-		sent += b
-	}
-	eng.Run()
-	if delivered != sent {
-		t.Fatalf("delivered %d bytes, sent %d", delivered, sent)
-	}
-	if nw.Preemptions() == 0 {
-		t.Fatal("urgent arrivals against a 50 KB bulk transfer never preempted")
+	// Ten 1000-byte slices: the urgent message takes the egress at the
+	// first slice boundary (1000..1100) and queues at ingress behind slice 0
+	// only (2000..2100); the last slice's ingress ends at 11100.
+	sliced := run(10)
+	if sliced[-1] != 2100 || sliced[9] != 11100 {
+		t.Fatalf("sliced deliveries: urgent %v, last slice %v; want 2100, 11100", sliced[-1], sliced[9])
 	}
 }

@@ -211,3 +211,63 @@ func TestDuplicatePushDedup(t *testing.T) {
 		t.Fatalf("new iteration push ignored: pushes=%d, want 3", p)
 	}
 }
+
+// sumRecorder returns an Updater that records the first value of every
+// aggregated sum it applies, for tests that drive handlePush directly.
+func sumRecorder(sums *[]float32) Updater {
+	return func(_ uint64, _, sum []float32, _ int) { *sums = append(*sums, sum[0]) }
+}
+
+// TestStalePushDoesNotRewindAccumulator: a late duplicate of an earlier
+// iteration's push (reachable through the reconnect-and-retry path) must be
+// dropped, not reset the key's accumulator to that older iteration — which
+// would discard the newer iteration's partial sum and stall the key forever.
+func TestStalePushDoesNotRewindAccumulator(t *testing.T) {
+	var sums []float32
+	srv := NewServer(ServerConfig{ID: 0, Workers: 2, Sched: "fifo", Updater: sumRecorder(&sums)})
+	push := func(sender uint8, iter int32, v float32) {
+		srv.handlePush(&transport.Frame{
+			Type: transport.TypePush, Sender: sender, Key: 5, Iter: iter, Values: []float32{v},
+		})
+	}
+	push(0, 0, 1)
+	push(1, 0, 2) // iteration 0 completes
+	push(0, 1, 5)
+	push(1, 0, 2) // late duplicate of worker 1's iteration-0 push
+	push(1, 1, 5) // must complete iteration 1
+	if _, u := srv.Stats(); u != 2 {
+		t.Fatalf("updates = %d, want 2 (the stale push rewound iteration 1)", u)
+	}
+	if len(sums) != 2 || sums[1] != 10 {
+		t.Fatalf("applied sums = %v, want [3 10]", sums)
+	}
+	if d := srv.Dropped(); d != 1 {
+		t.Fatalf("Dropped = %d, want 1 (the stale push)", d)
+	}
+}
+
+// TestMisshapedPushKeepsPartialSum: a push whose shape does not match the
+// key's parameters is dropped before it can touch the accumulator, even when
+// it claims a newer iteration — otherwise it would wipe the in-progress sum
+// on its way to being discarded.
+func TestMisshapedPushKeepsPartialSum(t *testing.T) {
+	var sums []float32
+	srv := NewServer(ServerConfig{ID: 0, Workers: 2, Sched: "fifo", Updater: sumRecorder(&sums)})
+	push := func(sender uint8, iter int32, vals ...float32) {
+		srv.handlePush(&transport.Frame{
+			Type: transport.TypePush, Sender: sender, Key: 5, Iter: iter, Values: vals,
+		})
+	}
+	push(0, 1, 5)
+	push(1, 2, 1, 2) // wrong shape, newer iteration
+	push(1, 1, 5)
+	if len(sums) != 1 || sums[0] != 10 {
+		t.Fatalf("applied sums = %v, want [10] (the mis-shaped push wiped the partial sum)", sums)
+	}
+	if d := srv.Dropped(); d != 1 {
+		t.Fatalf("Dropped = %d, want 1 (the mis-shaped push)", d)
+	}
+	if p, _ := srv.Stats(); p != 2 {
+		t.Fatalf("pushes = %d, want 2 (a dropped push is not processed)", p)
+	}
+}

@@ -61,13 +61,7 @@ type ServerConfig struct {
 	// returns data only on explicit Pull. False selects P3's immediate
 	// broadcast (Section 4.2).
 	NotifyPull bool
-	// PreemptBytes > 0 enables preemptive transmission on the send side:
-	// frames larger than this many wire bytes are written in bounded
-	// segments, and strictly more urgent frames bound for other workers
-	// overtake at segment boundaries (see transport.SendLoop). 0 writes
-	// whole frames — preemption only at frame granularity, as in the paper.
-	PreemptBytes int
-	Updater      Updater
+	Updater    Updater
 
 	// ReadTimeout > 0 arms a read deadline on every worker connection,
 	// refreshed per frame: a worker silent for longer (no pushes, no
@@ -124,6 +118,7 @@ type Server struct {
 	statsMu sync.Mutex
 	pushes  int64
 	updates int64
+	dropped int64
 }
 
 type connWriter struct {
@@ -211,6 +206,16 @@ func (s *Server) Stats() (pushes, updates int64) {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	return s.pushes, s.updates
+}
+
+// Dropped returns the number of pushes rejected before aggregation: pushes
+// whose shape does not match the key's parameters, and pushes for an
+// iteration older than the key's current one. Retry duplicates within the
+// current iteration are deduplicated silently and not counted here.
+func (s *Server) Dropped() int64 {
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	return s.dropped
 }
 
 func (s *Server) acceptLoop() {
@@ -336,7 +341,17 @@ func (s *Server) handlePush(f *transport.Frame) {
 		param = make([]float32, len(f.Values))
 		s.params[f.Key] = param
 	}
+	// Validate before touching the accumulator: a push of the wrong shape,
+	// or one for an iteration older than the key's current one (a late
+	// retry duplicate), must not reset the in-progress sum on its way out.
 	a := s.agg[f.Key]
+	if len(f.Values) != len(param) || (a != nil && f.Iter < a.iter) {
+		s.mu.Unlock()
+		s.statsMu.Lock()
+		s.dropped++
+		s.statsMu.Unlock()
+		return
+	}
 	if a == nil {
 		a = &aggState{iter: f.Iter, sum: make([]float32, len(param))}
 		s.agg[f.Key] = a
@@ -348,10 +363,6 @@ func (s *Server) handlePush(f *transport.Frame) {
 			a.sum[i] = 0
 		}
 		a.seen = [4]uint64{}
-	}
-	if len(f.Values) != len(a.sum) {
-		s.mu.Unlock()
-		return // shape mismatch: drop (tests never hit this)
 	}
 	if !a.markSeen(f.Sender) {
 		// A retry duplicate: the worker's reconnect path re-sent a push whose
@@ -420,10 +431,9 @@ func (s *Server) handlePull(f *transport.Frame) {
 }
 
 // sendLoop is the consumer of the send queue: transport.SendLoop writes one
-// admitted frame (or, with PreemptBytes, frame segment) at a time, most
-// urgent first, flow-aware across the per-worker connections. Credit is
-// returned at flush, so a credit-gated discipline bounds the
-// buffered-but-unflushed backlog.
+// admitted frame at a time, most urgent first, flow-aware across the
+// per-worker connections. Credit is returned at flush, so a credit-gated
+// discipline bounds the buffered-but-unflushed backlog.
 func (s *Server) sendLoop() {
 	defer s.wg.Done()
 	transport.SendLoop(s.sendQ, func(f *transport.Frame) transport.FlushWriter {
@@ -434,7 +444,7 @@ func (s *Server) sendLoop() {
 			return nil
 		}
 		return cw.w
-	}, s.cfg.PreemptBytes)
+	})
 }
 
 // heartbeatPriority ranks keep-alives ahead of all real traffic without

@@ -8,18 +8,17 @@ import (
 	"p3/internal/transport"
 )
 
-// TestPreemptiveTransmissionEndToEnd runs the real TCP parameter server on
-// loopback with a small write quantum, so every bulk gradient frame is
-// written in segments with urgent small frames for other connections
-// overtaking at segment boundaries — and asserts the protocol is
-// byte-faithful anyway: all pushes aggregate, every worker receives every
-// broadcast, and the broadcast values are exactly the aggregated update.
-func TestPreemptiveTransmissionEndToEnd(t *testing.T) {
+// TestWholeFrameTransmissionEndToEnd runs the real TCP parameter server on
+// loopback with a bulk gradient frame queued ahead of many small urgent
+// ones every iteration, and asserts the protocol is byte-faithful: all
+// pushes aggregate, every worker receives every broadcast, and the
+// broadcast values are exactly the aggregated update.
+func TestWholeFrameTransmissionEndToEnd(t *testing.T) {
 	const (
 		nWorkers = 3
 		iters    = 5
 		bigKey   = uint64(0)
-		bigLen   = 60_000 // ~240 KB frames: many segments at a 4 KiB quantum
+		bigLen   = 60_000 // ~240 KB frames
 		smallLen = 8
 		nSmall   = 16
 	)
@@ -29,8 +28,7 @@ func TestPreemptiveTransmissionEndToEnd(t *testing.T) {
 		Sched:   "p3",
 		// Store the raw sum: every worker pushes the same value per key, so
 		// the expected broadcast is exactly value*nWorkers in float32.
-		Updater:      func(_ uint64, param, sum []float32, workers int) { copy(param, sum) },
-		PreemptBytes: 4096,
+		Updater: func(_ uint64, param, sum []float32, workers int) { copy(param, sum) },
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -52,7 +50,6 @@ func TestPreemptiveTransmissionEndToEnd(t *testing.T) {
 			recv := make(chan got, 64)
 			worker, err := DialWorkerCfg(WorkerConfig{
 				ID: id, Servers: []string{addr}, Sched: "p3",
-				PreemptBytes: 4096,
 				Handler: func(f *transport.Frame) {
 					recv <- got{f.Key, f.Iter, f.Values}
 				},
@@ -73,8 +70,7 @@ func TestPreemptiveTransmissionEndToEnd(t *testing.T) {
 			}
 			for it := int32(0); it < iters; it++ {
 				// The bulk frame goes first at low urgency, the small
-				// frames afterwards at high urgency — the send loop should
-				// interleave them into the bulk frame's segments.
+				// frames afterwards at high urgency.
 				big := make([]float32, bigLen)
 				for i := range big {
 					big[i] = float32(it + 1)

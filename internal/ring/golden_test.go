@@ -92,46 +92,39 @@ func TestRingGoldenParity(t *testing.T) {
 	for _, c := range cases {
 		for _, g := range c.goldens {
 			st := strategy.Strategy{Name: g.Strategy, Granularity: g.Granularity, Sched: g.Sched}
-			for _, preempt := range []int64{0, 1 << 30} {
-				r := runGolden(t, st, c.gbps, preempt)
-				checkGolden(t, g, c.gbps, preempt, r)
-			}
+			checkGolden(t, g, c.gbps, runGolden(t, st, c.gbps))
 		}
 	}
 }
 
-// runGolden executes one golden configuration; preempt > 0 exercises the
-// segmented egress path (an over-size quantum: one segment per message,
-// which must stay bit-identical — the refactor may only change behaviour
-// when a preemption actually fires).
-func runGolden(t *testing.T, st strategy.Strategy, gbps float64, preempt int64) Result {
+// runGolden executes one golden configuration.
+func runGolden(t *testing.T, st strategy.Strategy, gbps float64) Result {
 	t.Helper()
 	return Run(Config{
-		Model:          zoo.ByName("resnet110"),
-		Machines:       4,
-		Strategy:       st,
-		BandwidthGbps:  gbps,
-		PreemptQuantum: preempt,
-		WarmupIters:    2,
-		MeasureIters:   4,
-		Seed:           1,
+		Model:         zoo.ByName("resnet110"),
+		Machines:      4,
+		Strategy:      st,
+		BandwidthGbps: gbps,
+		WarmupIters:   2,
+		MeasureIters:  4,
+		Seed:          1,
 	})
 }
 
-func checkGolden(t *testing.T, g ringGolden, gbps float64, preempt int64, r Result) {
+func checkGolden(t *testing.T, g ringGolden, gbps float64, r Result) {
 	t.Helper()
 	if got := math.Float64bits(r.Throughput); got != g.ThroughputBits {
-		t.Errorf("%s@%g preempt=%d: throughput bits %#x, want %#x (%.6f vs %.6f)",
-			g.Strategy, gbps, preempt, got, g.ThroughputBits,
+		t.Errorf("%s@%g: throughput bits %#x, want %#x (%.6f vs %.6f)",
+			g.Strategy, gbps, got, g.ThroughputBits,
 			r.Throughput, math.Float64frombits(g.ThroughputBits))
 	}
 	if r.MeanIterTime != g.MeanIterTime {
-		t.Errorf("%s@%g preempt=%d: mean iter %d, want %d", g.Strategy, gbps, preempt, r.MeanIterTime, g.MeanIterTime)
+		t.Errorf("%s@%g: mean iter %d, want %d", g.Strategy, gbps, r.MeanIterTime, g.MeanIterTime)
 	}
 	if r.ComputeIter != g.ComputeIter {
-		t.Errorf("%s@%g preempt=%d: compute iter %d, want %d", g.Strategy, gbps, preempt, r.ComputeIter, g.ComputeIter)
+		t.Errorf("%s@%g: compute iter %d, want %d", g.Strategy, gbps, r.ComputeIter, g.ComputeIter)
 	}
 	if r.Events != g.Events {
-		t.Errorf("%s@%g preempt=%d: events %d, want %d", g.Strategy, gbps, preempt, r.Events, g.Events)
+		t.Errorf("%s@%g: events %d, want %d", g.Strategy, gbps, r.Events, g.Events)
 	}
 }

@@ -40,11 +40,6 @@ type Config struct {
 	Strategy strategy.Strategy
 	// BandwidthGbps is the per-direction NIC rate.
 	BandwidthGbps float64
-	// PreemptQuantum > 0 makes NIC egress transmission resumable in
-	// segments of this many wire bytes (netsim.Config.PreemptQuantum); an
-	// urgent ring segment then preempts an in-flight bulk one at the next
-	// boundary. 0 keeps message-granularity preemption.
-	PreemptQuantum int64
 	// Profile optionally overrides the static FLOP-derived timing profile
 	// handed to model-aware disciplines (tictac) — the hook behind the
 	// calibrated two-pass mode (RunCalibrated), which re-runs with a
@@ -202,7 +197,6 @@ func newRingSim(cfg Config) *ringSim {
 	}
 	netCfg := netsim.DefaultConfig(cfg.BandwidthGbps)
 	netCfg.Egress = cfg.Strategy.Discipline()
-	netCfg.PreemptQuantum = cfg.PreemptQuantum
 	prof := cfg.Profile
 	if prof == nil {
 		prof = strategy.ComputeProfile(cfg.Model, netCfg.BandwidthGbps)

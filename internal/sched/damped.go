@@ -210,21 +210,6 @@ func (g *gatedDamped) OnCancel(it Item) {
 	g.adm.OnDone(it)
 }
 
-// OnPark and OnResume forward parked-transmission accounting to bases that
-// track it (credit-adaptive); for the rest a parked element simply stays
-// charged, the pre-Parker behaviour.
-func (g *gatedDamped) OnPark(it Item) {
-	if p, ok := g.adm.(Parker); ok {
-		p.OnPark(it)
-	}
-}
-
-func (g *gatedDamped) OnResume(it Item) {
-	if p, ok := g.adm.(Parker); ok {
-		p.OnResume(it)
-	}
-}
-
 func init() {
 	Register("damped", func(arg string) (Discipline, error) {
 		base, weight := arg, int64(0)

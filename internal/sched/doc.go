@@ -34,13 +34,7 @@
 //     signal (a refusal is congestion evidence to credit-adaptive), so it
 //     belongs inside the dispatch loop's cadence, never in a free-standing
 //     poll. Canceler refines an Admitter: OnCancel refunds an admission
-//     the caller backed out of without feeding the adaptation. Parker
-//     refines it further for preemptive transmitters: OnPark moves a
-//     preempted element's remaining bytes out of the admission window
-//     (they are off the wire, and a window full of parked bytes is not
-//     congestion evidence), OnResume re-charges them; Queue.Park/Resume
-//     route the calls and are no-ops for disciplines without the
-//     interface, which simply keep parked bytes charged.
+//     the caller backed out of without feeding the adaptation.
 //
 // Profiled disciplines (tictac, damped over a profiled base) additionally
 // consume a Profile — the model timing that strategies derive via
@@ -151,11 +145,9 @@
 // case — and k never exceeds F):
 //
 //   - Push: O(log F + log n_f)
-//   - Peek: O(1)
 //   - Pop: O(log F + log n_f)
-//   - PopReady, PopReadyIf, PopPreempting, Preempts, Blocked:
-//     O(k log F + log n_f); ungated disciplines pin k = 1
-//   - Done, Cancel, Len, Discipline: O(1)
+//   - PopReady, Blocked: O(k log F + log n_f); ungated disciplines pin k = 1
+//   - Done, Cancel, Len: O(1)
 //
 // Steady-state operation allocates nothing: elements, flow heads and the
 // admission walk all live in reusable slabs, a drained flow is evicted from
@@ -171,20 +163,16 @@
 //
 // # Preemption
 //
-// Two primitives support preemptive transmitters, which charge
-// serialization in segments and re-decide at segment boundaries:
-//
-//   - Preempts(hold) reports whether PopReady would dispatch something
-//     strictly more urgent than the in-flight element — ties never
-//     preempt, preserving insertion order within a priority class.
-//     internal/netsim uses it (with PopReadyIf for its size gates) to park
-//     an in-flight message, retaining partial progress, whenever an
-//     express message can win the exchange outright.
-//   - PopPreempting(hold) pops the most urgent admissible element that is
-//     strictly more urgent than hold AND belongs to a different flow —
-//     the rule of the real transport's send loop, where the in-flight
-//     frame occupies its destination's TCP stream and only other
-//     connections can be served mid-frame (transport.SendLoop).
+// Queues dispatch whole elements: an element, once popped, runs to
+// completion, and urgent work overtakes bulk work only at element
+// boundaries. That is the paper's design — parameter slicing cuts every
+// layer into chunks small enough that the boundary comes soon — and it is
+// the only preemption the tree models. Sub-message preemption (parking an
+// in-flight transmission at a segment boundary) is deliberately absent:
+// when modelled, a 64 KiB preemption quantum moved iteration time by at
+// most 0.063% across the 64 cells of the scheduler ablation
+// (`p3bench -fast sched`), because slicing already supplies the
+// boundaries.
 //
 // # Registry
 //

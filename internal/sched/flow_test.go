@@ -140,64 +140,3 @@ func TestPerFlowMatchesSingleQueue(t *testing.T) {
 		}
 	}
 }
-
-// TestPopPreempting covers the transport-side preemption primitive: only
-// strictly more urgent admissible elements of OTHER flows qualify.
-func TestPopPreempting(t *testing.T) {
-	pri := []int32{5, 3, 1, 0}
-	dest := []int32{1, 1, 1, 2}
-	q := NewQueue(NewP3Priority(), flowView(pri, nil, dest))
-	hold := 0 // priority 5, dest 1
-	q.Push(1) // more urgent, same flow: must NOT preempt
-	if v, ok := q.PopPreempting(hold); ok {
-		t.Fatalf("same-flow item %d preempted across its own connection", v)
-	}
-	q.Push(3) // priority 0, dest 2: preempts
-	if v, ok := q.PopPreempting(hold); !ok || v != 3 {
-		t.Fatalf("PopPreempting = (%d,%v), want flow 2's urgent item", v, ok)
-	}
-	// Ties never preempt.
-	q2 := NewQueue(NewP3Priority(), flowView(pri, nil, dest))
-	q2.Push(2) // priority 1, dest 1
-	if v, ok := q2.PopPreempting(2); ok {
-		t.Fatalf("equal-urgency item %d preempted", v)
-	}
-}
-
-// TestPreemptsStrictness: Preempts reports only strictly more urgent
-// admissible work, regardless of flow.
-func TestPreemptsStrictness(t *testing.T) {
-	pri := []int32{5, 5, 1}
-	dest := []int32{1, 2, 1}
-	q := NewQueue(NewP3Priority(), flowView(pri, nil, dest))
-	q.Push(1) // tie with hold: no preemption
-	if q.Preempts(0) {
-		t.Fatal("tie reported as preempting")
-	}
-	q.Push(2) // strictly more urgent, same flow as hold: preempts (netsim semantics)
-	if !q.Preempts(0) {
-		t.Fatal("strictly more urgent queued item not reported")
-	}
-}
-
-// TestPopReadyIf: the veto leaves the queue untouched and never skips to a
-// less urgent candidate.
-func TestPopReadyIf(t *testing.T) {
-	pri := []int32{3, 1}
-	q := NewQueue(NewP3Priority(), flowView(pri, nil, nil))
-	q.Push(0)
-	q.Push(1)
-	if v, ok := q.PopReadyIf(func(int) bool { return false }); ok {
-		t.Fatalf("vetoed candidate %d popped", v)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("veto mutated the queue: len %d", q.Len())
-	}
-	seen := -1
-	if v, ok := q.PopReadyIf(func(c int) bool { seen = c; return true }); !ok || v != 1 {
-		t.Fatalf("PopReadyIf = (%d,%v), want the most urgent item", v, ok)
-	}
-	if seen != 1 {
-		t.Fatalf("predicate consulted %d, want the most urgent candidate only", seen)
-	}
-}

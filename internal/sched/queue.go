@@ -83,9 +83,6 @@ func NewQueue[T any](d Discipline, view func(T) Item) *Queue[T] {
 	return q
 }
 
-// Discipline returns the queue's discipline.
-func (q *Queue[T]) Discipline() Discipline { return q.d }
-
 // Gated reports whether the discipline gates dispatch with a credit window
 // (implements Admitter, possibly under wrappers). Gated queues need
 // completion feedback (Done) from the consumer; execution modes that cannot
@@ -185,20 +182,6 @@ func (q *Queue[T]) restoreWalk() {
 	q.walk = q.walk[:0]
 }
 
-// Peek returns the most urgent element without removing it, ignoring any
-// credit gate.
-//
-//p3:noescape
-func (q *Queue[T]) Peek() (T, bool) {
-	f, ok := q.heads.Peek()
-	if !ok {
-		var zero T
-		return zero, false
-	}
-	e, _ := f.q.Peek()
-	return e.v, true
-}
-
 // Pop removes and returns the most urgent element, bypassing the Admit
 // check of any credit gate (used when draining a closed queue). It still
 // charges the element in flight (OnStart), so the caller's usual Done call
@@ -247,135 +230,6 @@ func (q *Queue[T]) PopReady() (T, bool) {
 	return q.take(chosen), true
 }
 
-// Preempts reports whether PopReady would dispatch an element strictly more
-// urgent than hold (discipline order; ties never preempt, preserving the
-// insertion-order guarantee within a priority class). It is the
-// segment-boundary check of preemptive transmitters: hold is the in-flight
-// element, and a true result means the caller should park it (Cancel +
-// Push, progress retained) and re-dispatch. Like Blocked, it consults the
-// discipline's Admit and so belongs inside the dispatch loop's cadence.
-//
-// hold is compared through the raw view, without a Ranker pass: under a
-// rank-at-enqueue discipline (rr) an in-flight element holds its dispatch
-// position in virtual time and nothing queued ever outranks it, so Ranker
-// disciplines never preempt — stride scheduling expresses fairness, not
-// urgency, and there is no "more urgent" to preempt for.
-//
-//p3:noescape
-func (q *Queue[T]) Preempts(hold T) bool {
-	if q.n == 0 {
-		return false
-	}
-	ht := q.view(hold)
-	if q.adm == nil {
-		f, _ := q.heads.Peek()
-		e, _ := f.q.Peek()
-		return q.d.Less(e.it, ht)
-	}
-	found := false
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
-			break // heads are urgency-ordered: no candidate remains
-		}
-		if q.adm.Admit(e.it) {
-			found = true
-			break
-		}
-	}
-	q.restoreWalk()
-	return found
-}
-
-// PopReadyIf is PopReady with a caller veto: it selects the element
-// PopReady would dispatch — the most urgent admissible flow head — but
-// pops it only when keep approves it, leaving the queue untouched (and
-// returning false) otherwise. It is the single-walk primitive behind
-// conditional dispatch such as netsim's preemption rule, where the
-// candidate must beat the in-flight transmission on more than urgency;
-// skipping a vetoed candidate for a less urgent one would reorder the
-// discipline, so the veto ends the walk.
-//
-// keep must not touch the queue (no Push/Pop/Done/Cancel): it runs while
-// the head heap is mid-walk, exactly like pq.NewIndexed's move callback
-// must not touch its heap. It should be a pure predicate of the candidate.
-//
-//p3:noescape
-func (q *Queue[T]) PopReadyIf(keep func(T) bool) (T, bool) {
-	var zero T
-	if q.adm == nil {
-		f, ok := q.heads.Peek()
-		if !ok {
-			return zero, false
-		}
-		e, _ := f.q.Peek()
-		if !keep(e.v) {
-			return zero, false
-		}
-		return q.take(f), true
-	}
-	var chosen *flow[T]
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if !q.adm.Admit(e.it) {
-			continue
-		}
-		if keep(e.v) {
-			chosen = f
-		}
-		break
-	}
-	q.restoreWalk()
-	if chosen == nil {
-		return zero, false
-	}
-	return q.take(chosen), true
-}
-
-// PopPreempting pops the most urgent admissible element that is strictly
-// more urgent than hold AND belongs to a different flow than hold. It is the
-// preemption primitive of senders whose in-flight element occupies its
-// flow's channel (one TCP stream cannot interleave two frames): traffic for
-// other destinations may overtake at a segment boundary, same-destination
-// traffic must wait for hold to finish. The second result is false when no
-// such element exists. As with Preempts, Ranker disciplines never preempt
-// (hold's unranked view precedes every queued rank).
-//
-//p3:noescape
-func (q *Queue[T]) PopPreempting(hold T) (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	ht := q.view(hold)
-	var chosen *flow[T]
-	for q.heads.Len() > 0 {
-		f := q.heads.Pop()
-		q.walk = append(q.walk, f)
-		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
-			break // heads are urgency-ordered: no candidate remains
-		}
-		if f.key == ht.Dest {
-			continue
-		}
-		if q.adm != nil && !q.adm.Admit(e.it) {
-			continue
-		}
-		chosen = f
-		break
-	}
-	q.restoreWalk()
-	if chosen == nil {
-		return zero, false
-	}
-	return q.take(chosen), true
-}
-
 // Done releases v's in-flight charge (a no-op for disciplines without a
 // credit window). Call it exactly once per successful PopReady.
 //
@@ -388,12 +242,11 @@ func (q *Queue[T]) Done(v T) {
 
 // Cancel releases v's in-flight charge without signalling a completion:
 // use it when the caller backs out of work it popped (e.g. re-queueing an
-// item deferred on a serialization constraint, or parking a preempted
-// transmission), so adaptive disciplines do not tune their windows on bytes
-// that were never actually processed. The refund is routed by v's own Item
-// view — v carries its destination, so a flow skipped at dispatch can never
-// absorb another flow's refund. Falls back to Done semantics for
-// disciplines without a cancel path.
+// item deferred on a serialization constraint), so adaptive disciplines
+// do not tune their windows on bytes that were never actually processed.
+// The refund is routed by v's own Item view — v carries its destination,
+// so a flow skipped at dispatch can never absorb another flow's refund.
+// Falls back to Done semantics for disciplines without a cancel path.
 //
 //p3:noescape
 func (q *Queue[T]) Cancel(v T) {
@@ -443,32 +296,6 @@ func (q *Queue[T]) SetProfile(p *Profile) {
 	q.n = 0
 	for _, e := range ents {
 		q.Push(e.v)
-	}
-}
-
-// Park tells a Parker discipline that v — popped earlier and still
-// unfinished — has been preempted and parked outside the queue: its
-// remaining bytes are off the wire and must stop counting against its
-// flow's admission window, without feeding the discipline's adaptation.
-// For disciplines that do not track parked bytes it is a no-op (the
-// element simply stays charged, the conservative pre-Parker behaviour).
-// Balance every Park with a Resume before the element's Done.
-//
-//p3:noescape
-func (q *Queue[T]) Park(v T) {
-	if p, ok := q.adm.(Parker); ok {
-		p.OnPark(q.view(v))
-	}
-}
-
-// Resume re-charges a parked element when its transmission continues; the
-// caller's eventual Done then balances as usual. A no-op for disciplines
-// without a Parker, mirroring Park.
-//
-//p3:noescape
-func (q *Queue[T]) Resume(v T) {
-	if p, ok := q.adm.(Parker); ok {
-		p.OnResume(q.view(v))
 	}
 }
 

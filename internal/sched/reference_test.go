@@ -115,16 +115,6 @@ func (q *refQueue[T]) take(f *refFlow[T]) T {
 	return e.v
 }
 
-func (q *refQueue[T]) Peek() (T, bool) {
-	f := q.best()
-	if f == nil {
-		var zero T
-		return zero, false
-	}
-	e, _ := f.q.Peek()
-	return e.v, true
-}
-
 func (q *refQueue[T]) Pop() (T, bool) {
 	f := q.best()
 	if f == nil {
@@ -146,76 +136,6 @@ func (q *refQueue[T]) PopReady() (T, bool) {
 		return q.take(f), true
 	}
 	var zero T
-	return zero, false
-}
-
-func (q *refQueue[T]) Preempts(hold T) bool {
-	if q.n == 0 {
-		return false
-	}
-	ht := q.view(hold)
-	if q.adm == nil {
-		f := q.best()
-		e, _ := f.q.Peek()
-		return q.d.Less(e.it, ht)
-	}
-	for _, f := range q.heads() {
-		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
-			return false
-		}
-		if q.adm.Admit(e.it) {
-			return true
-		}
-	}
-	return false
-}
-
-func (q *refQueue[T]) PopReadyIf(keep func(T) bool) (T, bool) {
-	var zero T
-	if q.adm == nil {
-		f := q.best()
-		if f == nil {
-			return zero, false
-		}
-		e, _ := f.q.Peek()
-		if !keep(e.v) {
-			return zero, false
-		}
-		return q.take(f), true
-	}
-	for _, f := range q.heads() {
-		e, _ := f.q.Peek()
-		if !q.adm.Admit(e.it) {
-			continue
-		}
-		if !keep(e.v) {
-			return zero, false
-		}
-		return q.take(f), true
-	}
-	return zero, false
-}
-
-func (q *refQueue[T]) PopPreempting(hold T) (T, bool) {
-	var zero T
-	if q.n == 0 {
-		return zero, false
-	}
-	ht := q.view(hold)
-	for _, f := range q.heads() {
-		e, _ := f.q.Peek()
-		if !q.d.Less(e.it, ht) {
-			break
-		}
-		if f.key == ht.Dest {
-			continue
-		}
-		if q.adm != nil && !q.adm.Admit(e.it) {
-			continue
-		}
-		return q.take(f), true
-	}
 	return zero, false
 }
 

@@ -92,21 +92,6 @@ type Canceler interface {
 	OnCancel(it Item)
 }
 
-// Parker is implemented by Admitters that distinguish a parked (preempted)
-// transmission's bytes from bytes genuinely in flight. A preemptive
-// transmitter that parks an element calls OnPark: the element's remaining
-// bytes are off the wire, so they must stop counting against the flow's
-// admission window, and the transition must not feed the discipline's
-// adaptation — a window that looks full of parked bytes is not congestion
-// evidence. OnResume re-charges the element when transmission continues;
-// the eventual OnDone then balances as usual. An Admitter without Parker
-// keeps parked bytes charged (the pre-Parker behaviour), which is safe but
-// lets a long-parked tail spuriously bind its flow's window.
-type Parker interface {
-	OnPark(it Item)
-	OnResume(it Item)
-}
-
 // Profile carries the model timing knowledge that model-aware disciplines
 // consume: for each priority class p (a layer's forward-pass index, the
 // value carried in Item.Priority), NeedAtNs[p] is the compute time from the
@@ -399,7 +384,6 @@ type AdaptiveCredit struct {
 type destWindow struct {
 	credit   int64
 	inFlight int64
-	parked   int64 // bytes of parked (preempted) transmissions, off the wire
 	refused  bool  // the gate refused an item in the current busy period
 	sinceRef int   // completions since the gate last refused
 	clean    int64 // bytes acked since the gate last bound (or last adjust)
@@ -520,37 +504,6 @@ func (a *AdaptiveCredit) OnCancel(it Item) {
 	}
 }
 
-// OnPark moves a preempted transmission's bytes out of the admission
-// window (Parker): the remainder is off the wire while parked, so leaving
-// it charged would refuse admissible traffic and feed those refusals to
-// the AIMD as if the destination were stalled on credit — preemption would
-// spuriously tune the window. Like OnCancel, a drain by parking discards
-// pending refusal evidence instead of interpreting it.
-func (a *AdaptiveCredit) OnPark(it Item) {
-	w := a.win(it.Dest)
-	w.inFlight -= it.Bytes
-	w.parked += it.Bytes
-	if w.inFlight < 0 {
-		panic(fmt.Sprintf("sched: credit-adaptive underflow on park (dest %d, %d bytes)", it.Dest, w.inFlight))
-	}
-	if w.inFlight == 0 {
-		w.refused = false
-		w.sinceRef = 0
-	}
-}
-
-// OnResume re-charges a parked transmission when it continues; the
-// eventual OnDone balances the charge. Resuming is not an admission and
-// feeds no adaptation signal.
-func (a *AdaptiveCredit) OnResume(it Item) {
-	w := a.win(it.Dest)
-	w.parked -= it.Bytes
-	w.inFlight += it.Bytes
-	if w.parked < 0 {
-		panic(fmt.Sprintf("sched: credit-adaptive resume without park (dest %d, %d bytes)", it.Dest, w.parked))
-	}
-}
-
 // Window reports dst's current credit window (Initial if never used).
 func (a *AdaptiveCredit) Window(dst int32) int64 {
 	if w := a.wins[dst]; w != nil {
@@ -563,15 +516,6 @@ func (a *AdaptiveCredit) Window(dst int32) int64 {
 func (a *AdaptiveCredit) InFlight(dst int32) int64 {
 	if w := a.wins[dst]; w != nil {
 		return w.inFlight
-	}
-	return 0
-}
-
-// Parked reports the bytes of dst's transmissions currently parked
-// (preempted), which do not count against the admission window.
-func (a *AdaptiveCredit) Parked(dst int32) int64 {
-	if w := a.wins[dst]; w != nil {
-		return w.parked
 	}
 	return 0
 }

@@ -111,7 +111,9 @@ func ReadFrame(r io.Reader) (*Frame, error) {
 		Iter:     int32(binary.LittleEndian.Uint32(body[14:])),
 	}
 	count := binary.LittleEndian.Uint32(body[18:])
-	if uint32(len(body)-headerBytes) != 4*count {
+	// Compare in 64 bits: 4*count wraps in uint32, and a wrapped match
+	// would allocate up to 12 GiB of values for a 26-byte frame.
+	if uint64(len(body)-headerBytes) != 4*uint64(count) {
 		return nil, fmt.Errorf("transport: frame declares %d values but carries %d bytes",
 			count, len(body)-headerBytes)
 	}

@@ -14,12 +14,15 @@
 //	        or reply-on-deferred-pull (TensorFlow style)
 //	worker: all chunks of layer l received -> layer l usable by the next
 //	        forward pass; forward(l) blocks until then
+//
+// The worker side of that protocol — the compute timeline, the forward
+// stall and the makespan reduction — is internal/worker's, shared with
+// internal/ring; this package supplies the push, notify, pull, aggregation
+// and fault handling around it.
 package cluster
 
 import (
 	"fmt"
-	"math"
-	"math/rand/v2"
 
 	"p3/internal/core"
 	"p3/internal/faults"
@@ -29,6 +32,7 @@ import (
 	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/trace"
+	"p3/internal/worker"
 )
 
 // Message kinds on the simulated network.
@@ -44,7 +48,9 @@ const (
 // ctlBytes is the payload size of notify/pull control messages.
 const ctlBytes = 16
 
-// Config describes one simulated training run.
+// Config describes one simulated training run. Warm-up, measured
+// iterations, seed and the Result's stall and throughput figures follow
+// internal/worker's timeline contract.
 type Config struct {
 	Model    *model.Model
 	Machines int // worker machines (each runs one worker)
@@ -55,10 +61,6 @@ type Config struct {
 	Strategy strategy.Strategy
 	// BandwidthGbps is the per-direction NIC rate (the paper's x axis).
 	BandwidthGbps float64
-	// Net optionally overrides the full interconnect config; if zero-valued
-	// it is derived from BandwidthGbps via netsim.DefaultConfig. The
-	// Egress discipline is always forced from the strategy's Sched name.
-	Net *netsim.Config
 	// Profile optionally overrides the static FLOP-derived timing profile
 	// handed to model-aware disciplines (tictac) — the hook behind the
 	// calibrated two-pass mode (RunCalibrated), which re-runs with a
@@ -321,98 +323,9 @@ type pendingPull struct {
 	src  int
 }
 
-type procItem struct {
-	chunk    int32
-	iter     int32
-	src      int32
-	priority int32
-}
-
-// procPool serializes per-byte endpoint processing. It models MXNet's engine
-// semantics: up to `threads` items process concurrently, but items for the
-// same chunk (key) always serialize because they share an accumulator. The
-// queue discipline is pluggable (a sched.Discipline resolved from the
-// strategy's Sched name): fifo for baseline strategies, p3 priority ordering
-// for the server- and worker-side producer/consumer loops of Section 4.2,
-// or any other registered discipline.
-type procPool struct {
-	threads   int
-	inFlight  int
-	queue     *sched.Queue[procItem]
-	chunkBusy map[int32]bool
-	waiting   map[int32][]procItem
-	overhead  sim.Time
-	rate      float64  // bytes per nanosecond
-	proc      sim.Proc // the owning machine's timeline
-	done      func(procItem)
-}
-
-// newProcPool builds a pool ordered by queue, which must wrap a fresh
-// discipline instance (pools never share scheduler state). proc is the
-// owning machine's scheduling handle — pool events belong to that LP.
-func newProcPool(threads int, overhead sim.Time, rate float64, queue *sched.Queue[procItem], proc sim.Proc) *procPool {
-	return &procPool{
-		threads:   threads,
-		queue:     queue,
-		chunkBusy: make(map[int32]bool),
-		waiting:   make(map[int32][]procItem),
-		overhead:  overhead,
-		rate:      rate,
-		proc:      proc,
-	}
-}
-
-// add enqueues an item and starts as many queued items as the thread,
-// per-key and credit limits allow. The pool's done callback runs on the
-// virtual clock when an item finishes processing.
-func (p *procPool) add(cs *clusterSim, it procItem) {
-	p.queue.Push(it)
-	p.pump(cs)
-}
-
-func (p *procPool) pump(cs *clusterSim) {
-	for p.inFlight < p.threads {
-		it, ok := p.queue.PopReady()
-		if !ok {
-			return
-		}
-		if p.chunkBusy[it.chunk] {
-			// Deferred on the per-key serialization, not processing yet:
-			// refund any credit until the chunk frees up and re-queues it.
-			// Cancel, not Done — an adaptive window must not read this
-			// refund as a completed transfer.
-			p.queue.Cancel(it)
-			p.waiting[it.chunk] = append(p.waiting[it.chunk], it)
-			continue
-		}
-		p.start(cs, it)
-	}
-}
-
-func (p *procPool) start(cs *clusterSim, it procItem) {
-	p.chunkBusy[it.chunk] = true
-	p.inFlight++
-	cost := p.overhead + sim.Time(float64(cs.plan.Chunks[it.chunk].Bytes())/p.rate)
-	p.proc.After(cost, func() {
-		p.inFlight--
-		delete(p.chunkBusy, it.chunk)
-		p.queue.Done(it)
-		if w := p.waiting[it.chunk]; len(w) > 0 {
-			p.queue.Push(w[0])
-			if len(w) == 1 {
-				delete(p.waiting, it.chunk)
-			} else {
-				p.waiting[it.chunk] = w[1:]
-			}
-		}
-		p.done(it)
-		p.pump(cs)
-	})
-}
-
 type serverState struct {
-	proc *procPool
-	agg  []chunkAgg // indexed by chunk ID (only own chunks used)
+	proc *worker.Pool // update processing; items carry the pushing worker (or reduced stream) in Src
+	agg  []chunkAgg   // indexed by chunk ID (only own chunks used)
 	// lastDone[c] is the newest iteration whose update completed for chunk
 	// c (-1 initially). A pull for iteration <= lastDone is answerable
 	// immediately with the current value, exactly as a real KVStore pull
@@ -429,32 +342,26 @@ type serverState struct {
 	seen [][]bool
 }
 
-type workerState struct {
-	readyIter   []int32 // per layer: iteration whose sync delivered current params (-1 = initial)
-	recvCount   []int   // per layer: data chunks received for the in-flight sync
-	notifyCount []int   // per layer: notifications received (baseline)
-	fwdLayer    int
-	waitingFwd  bool
-	waitSince   sim.Time
-	curIter     int32
-	bwdDone     []sim.Time // per iteration
-	layerStall  []sim.Time // cumulative forward stall per layer
-
-	// Receive-side processing: deserializing and installing an arrived
-	// parameter chunk costs CPU time (the receiver-side producer/consumer
-	// of Section 4.2; priority-ordered under P3).
-	proc *procPool
+// hostState is a worker machine's receive side; the compute timeline
+// itself is a worker.Worker.
+type hostState struct {
+	notifyCount []int // per layer: notifications received (baseline)
+	// Deserializing and installing an arrived parameter chunk costs CPU
+	// time (the receiver-side producer/consumer of Section 4.2;
+	// priority-ordered under P3).
+	proc *worker.Pool
 }
 
 type clusterSim struct {
-	cfg    Config
-	exec   sim.Exec
-	procs  []sim.Proc // one per machine
-	net    *netsim.Network
-	plan   *core.Plan
-	timing *model.Timing
-	layers int
-	total  int32 // iterations to run
+	cfg   Config
+	exec  sim.Exec
+	procs []sim.Proc // one per machine
+	net   *netsim.Network
+	plan  *core.Plan
+	spec  *worker.Spec
+	// chunkBytes[c] is chunk c's payload size, the per-item work of every
+	// processing pool.
+	chunkBytes []int64
 
 	// srvMachine[s] is the machine hosting server s; machineSrv is the
 	// inverse (-1 on machines without a server). Identity by default —
@@ -476,11 +383,9 @@ type clusterSim struct {
 	rpp      int
 	podPop   []int
 
-	workers  []workerState
-	servers  []serverState
-	jitter   [][]float64 // [worker][iter]
-	updRate  float64     // bytes per nanosecond
-	hostRate float64     // bytes per nanosecond
+	workers []*worker.Worker // compute timelines
+	hosts   []hostState
+	servers []serverState
 
 	// fs is the fault-injection wiring (Config.Faults); nil on fault-free
 	// runs, so every fault check is a single nil test on the hot paths.
@@ -496,13 +401,7 @@ type clusterSim struct {
 // compute-only one. Both results are returned, first the static pass.
 func RunCalibrated(cfg Config) (static, calibrated Result) {
 	static = Run(cfg)
-	// Profile at the same wire rate the runs use: BandwidthGbps when set,
-	// else the rate of an explicit Net override (mirroring newClusterSim).
-	gbps := cfg.BandwidthGbps
-	if gbps <= 0 && cfg.Net != nil {
-		gbps = cfg.Net.BandwidthGbps
-	}
-	cfg.Profile = strategy.CalibrateProfile(cfg.Model, gbps, static.MeanLayerStalls())
+	cfg.Profile = strategy.CalibrateProfile(cfg.Model, cfg.BandwidthGbps, static.MeanLayerStalls())
 	calibrated = Run(cfg)
 	return static, calibrated
 }
@@ -523,15 +422,7 @@ func newClusterSim(cfg Config) *clusterSim {
 	m := cfg.Model
 	n := cfg.Machines
 
-	var netCfg netsim.Config
-	if cfg.Net != nil {
-		netCfg = *cfg.Net
-	} else {
-		netCfg = netsim.DefaultConfig(cfg.BandwidthGbps)
-	}
-	if cfg.BandwidthGbps > 0 {
-		netCfg.BandwidthGbps = cfg.BandwidthGbps
-	}
+	netCfg := netsim.DefaultConfig(cfg.BandwidthGbps)
 	netCfg.Egress = cfg.Strategy.Discipline()
 	if cfg.Topology.RackSize > 0 {
 		netCfg.Topology = cfg.Topology
@@ -603,12 +494,19 @@ func newClusterSim(cfg Config) *clusterSim {
 	}
 
 	cs := &clusterSim{
-		cfg:    cfg,
-		exec:   exec,
-		plan:   cfg.Strategy.Partition(m, cfg.Servers),
-		timing: model.NewTiming(m),
-		layers: len(m.Layers),
-		total:  int32(cfg.WarmupIters + cfg.MeasureIters),
+		cfg:  cfg,
+		exec: exec,
+		plan: cfg.Strategy.Partition(m, cfg.Servers),
+	}
+	cs.spec = &worker.Spec{
+		Timing: model.NewTiming(m),
+		Plan:   cs.plan,
+		Warmup: cfg.WarmupIters,
+		Total:  cfg.WarmupIters + cfg.MeasureIters,
+	}
+	cs.chunkBytes = make([]int64, cs.plan.NumChunks())
+	for c := range cs.chunkBytes {
+		cs.chunkBytes[c] = cs.plan.Chunks[c].Bytes()
 	}
 	cs.procs = make([]sim.Proc, n)
 	for i := range cs.procs {
@@ -683,27 +581,25 @@ func newClusterSim(cfg Config) *clusterSim {
 		cs.newFaultState(&netCfg)
 	}
 	cs.net = netsim.NewOnExec(exec, n, netCfg, cs.deliver, cfg.Recorder)
-	cs.updRate = cfg.UpdateRateGBps // GB/s == bytes/ns
-	cs.hostRate = cfg.HostRateGBps  // GB/s == bytes/ns
 
 	// Every processing pool runs the strategy's discipline on a fresh
 	// instance; the item view exposes the chunk's wire priority and size,
 	// with the originating worker as the flow key of per-destination gates
 	// (and the axis damped's epoch rank interleaves same-layer items
 	// across). The owning machine's index seeds source-aware disciplines.
-	itemView := func(it procItem) sched.Item {
-		return sched.Item{Priority: it.priority, Bytes: cs.plan.Chunks[it.chunk].Bytes(), Dest: it.src}
+	itemView := func(it worker.Item) sched.Item {
+		return sched.Item{Priority: it.Priority, Bytes: cs.chunkBytes[it.Chunk], Dest: it.Src}
 	}
-	newQueue := func(owner int) *sched.Queue[procItem] {
+	newQueue := func(owner int) *sched.Queue[worker.Item] {
 		disc := sched.ApplyProfile(sched.MustByName(cfg.Strategy.Discipline()), prof)
 		sched.ApplySource(disc, int32(owner))
 		return sched.NewQueue(disc, itemView)
 	}
 	cs.servers = make([]serverState, cfg.Servers)
 	for s := range cs.servers {
-		srv := s
 		cs.servers[s] = serverState{
-			proc:     newProcPool(cfg.ServerThreads, cfg.UpdateOverhead, cfg.UpdateRateGBps, newQueue(s), cs.procs[cs.srvMachine[s]]),
+			proc: worker.NewPool(cfg.ServerThreads, cfg.UpdateOverhead, cfg.UpdateRateGBps, cs.chunkBytes,
+				newQueue(s), cs.procs[cs.srvMachine[s]], func(it worker.Item) { cs.pushProcessed(s, it) }),
 			agg:      make([]chunkAgg, cs.plan.NumChunks()),
 			lastDone: make([]int32, cs.plan.NumChunks()),
 			pending:  make(map[int32][]pendingPull),
@@ -718,38 +614,17 @@ func newClusterSim(cfg Config) *clusterSim {
 				cs.servers[s].seen[c] = make([]bool, n)
 			}
 		}
-		cs.servers[s].proc.done = func(it procItem) { cs.pushProcessed(srv, it) }
 	}
 
-	cs.workers = make([]workerState, n)
+	jitter := worker.Jitter(cfg.Seed, 0x9e3779b97f4a7c15, m.ComputeJitter, n, cs.spec.Total)
+	cs.workers = make([]*worker.Worker, n)
+	cs.hosts = make([]hostState, n)
 	for w := range cs.workers {
-		ws := &cs.workers[w]
-		ws.readyIter = make([]int32, cs.layers)
-		for l := range ws.readyIter {
-			ws.readyIter[l] = -1
-		}
-		ws.recvCount = make([]int, cs.layers)
-		ws.notifyCount = make([]int, cs.layers)
-		ws.bwdDone = make([]sim.Time, cs.total)
-		ws.layerStall = make([]sim.Time, cs.layers)
-		ws.proc = newProcPool(cfg.HostThreads, cfg.HostOverhead, cfg.HostRateGBps, newQueue(w), cs.procs[w])
-		wk := w
-		ws.proc.done = func(it procItem) { cs.installChunk(wk, it.chunk, it.iter) }
-	}
-
-	// Precompute per-(worker, iteration) compute jitter so that event
-	// ordering cannot perturb the random sequence.
-	cs.jitter = make([][]float64, n)
-	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(cfg.Seed)^0x9e3779b97f4a7c15))
-	sigma := m.ComputeJitter
-	for w := range cs.jitter {
-		cs.jitter[w] = make([]float64, cs.total)
-		for i := range cs.jitter[w] {
-			if sigma == 0 {
-				cs.jitter[w][i] = 1
-				continue
-			}
-			cs.jitter[w][i] = math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2)
+		cs.workers[w] = worker.New(cs.computeProc(w), cs.spec, jitter[w], cs.hooks(w))
+		cs.hosts[w] = hostState{
+			notifyCount: make([]int, len(m.Layers)),
+			proc: worker.NewPool(cfg.HostThreads, cfg.HostOverhead, cfg.HostRateGBps, cs.chunkBytes,
+				newQueue(w), cs.procs[w], func(it worker.Item) { cs.installChunk(w, it.Chunk, it.Iter) }),
 		}
 	}
 	if cs.fs != nil {
@@ -765,80 +640,42 @@ func (cs *clusterSim) start() {
 	if cs.cfg.Recorder != nil {
 		cs.cfg.Recorder.Start(0)
 	}
-	for w := 0; w < cs.cfg.Machines; w++ {
-		cs.advanceForward(w)
+	for _, w := range cs.workers {
+		w.Start()
 	}
 }
 
-// ---- worker compute state machine ----
+// ---- worker timeline hooks ----
 
-func (cs *clusterSim) scaled(w int, iter int32, d sim.Time) sim.Time {
-	t := sim.Time(float64(d) * cs.jitter[w][iter])
-	if cs.fs != nil {
-		// A straggler window multiplies compute steps that start inside it
-		// (read off the static plan at the worker's own clock — no events,
-		// no cross-LP state).
-		if f := cs.fs.plan.SlowFactor(w, int64(cs.procs[w].Now())); f != 1 {
-			t = sim.Time(float64(t) * f)
-		}
-	}
-	return t
-}
-
-func (cs *clusterSim) advanceForward(w int) {
-	ws := &cs.workers[w]
-	if ws.fwdLayer == cs.layers {
-		cs.startBackward(w)
-		return
-	}
-	l := ws.fwdLayer
-	if ws.readyIter[l] < ws.curIter-1 {
-		if !ws.waitingFwd {
-			ws.waitingFwd = true
-			ws.waitSince = cs.procs[w].Now()
-			if cs.fs != nil && cs.fs.hasCrash {
-				// A broadcast stream dropped at a down aggregator would leave
-				// this wait unsatisfiable: re-pull directly after a timeout.
-				cs.armStallCheck(w, l, ws.curIter, ws.waitSince)
+// hooks wires worker w's timeline into the protocol: a finished backward
+// step pushes the layer's gradients, a finished backward pass issues
+// TensorFlow-style deferred pulls, and a forward wait under a crash plan
+// arms the re-pull timer.
+func (cs *clusterSim) hooks(w int) worker.Hooks {
+	h := worker.Hooks{GradReady: func(l int, iter int32) { cs.pushLayer(w, l, iter) }}
+	if cs.cfg.Strategy.Pull == strategy.DeferredPull {
+		// TensorFlow semantics: the next graph execution begins now and
+		// issues receive ops for every parameter at once.
+		h.BackwardDone = func(iter int32) {
+			for id := range cs.plan.Chunks {
+				cs.sendPull(w, int32(id), iter)
 			}
 		}
-		return
 	}
-	if ws.waitingFwd {
-		ws.waitingFwd = false
-		if ws.curIter >= int32(cs.cfg.WarmupIters) {
-			ws.layerStall[l] += cs.procs[w].Now() - ws.waitSince
-		}
+	if cs.fs != nil && cs.fs.hasCrash {
+		// A broadcast stream dropped at a down aggregator would leave the
+		// wait unsatisfiable: re-pull directly after a timeout.
+		h.WaitBegan = func(l int, iter int32) { cs.armStallCheck(w, l, iter, cs.procs[w].Now()) }
 	}
-	cs.after(w, cs.scaled(w, ws.curIter, cs.timing.Fwd[l]), func() {
-		ws.fwdLayer = l + 1
-		cs.advanceForward(w)
-	})
+	return h
 }
 
-func (cs *clusterSim) startBackward(w int) {
-	cs.stepBackward(w, cs.layers-1)
-}
-
-func (cs *clusterSim) stepBackward(w, l int) {
-	ws := &cs.workers[w]
-	cs.after(w, cs.scaled(w, ws.curIter, cs.timing.Bwd[l]), func() {
-		cs.pushLayer(w, l)
-		if l > 0 {
-			cs.stepBackward(w, l-1)
-			return
-		}
-		cs.backwardDone(w)
-	})
-}
-
-func (cs *clusterSim) pushLayer(w, l int) {
-	ws := &cs.workers[w]
+func (cs *clusterSim) pushLayer(w, l int, iter int32) {
 	for _, id := range cs.plan.LayerChunks(l) {
 		c := cs.plan.Chunks[id]
 		m := netsim.Message{
 			From: w, To: cs.srvMachine[c.Server], Bytes: c.Bytes(), Priority: int32(c.Priority),
-			Kind: kPush, Chunk: int32(id), Iter: ws.curIter, Src: int32(w),
+			Kind: kPush, Chunk: int32(id), Iter: iter, Src: int32(w),
 		}
 		// Under rack aggregation every push that would cross the NIC routes
 		// through the worker's own rack aggregator instead — including
@@ -857,26 +694,9 @@ func (cs *clusterSim) pushLayer(w, l int) {
 			}
 		}
 		if cs.fs != nil && cs.fs.hasCrash {
-			cs.fs.pushedIter[w][id] = ws.curIter
+			cs.fs.pushedIter[w][id] = iter
 		}
 		cs.net.Send(m)
-	}
-}
-
-func (cs *clusterSim) backwardDone(w int) {
-	ws := &cs.workers[w]
-	ws.bwdDone[ws.curIter] = cs.procs[w].Now()
-	if cs.cfg.Strategy.Pull == strategy.DeferredPull {
-		// TensorFlow semantics: the next graph execution begins now and
-		// issues receive ops for every parameter at once.
-		for id := range cs.plan.Chunks {
-			cs.sendPull(w, int32(id), ws.curIter)
-		}
-	}
-	ws.curIter++
-	if ws.curIter < cs.total {
-		ws.fwdLayer = 0
-		cs.advanceForward(w)
 	}
 }
 
@@ -902,7 +722,7 @@ func (cs *clusterSim) deliver(m netsim.Message) {
 // ---- server side ----
 
 func (cs *clusterSim) onPush(m netsim.Message) {
-	cs.servers[cs.machineSrv[m.To]].proc.add(cs, procItem{chunk: m.Chunk, iter: m.Iter, src: m.Src, priority: m.Priority})
+	cs.servers[cs.machineSrv[m.To]].proc.Add(worker.Item{Chunk: m.Chunk, Iter: m.Iter, Src: m.Src, Priority: m.Priority})
 }
 
 // ---- rack and pod aggregators (RackAggregation only) ----
@@ -1129,9 +949,9 @@ func (cs *clusterSim) podExpect(pod int, chunk int32) int {
 // push (Src < 0 under RackAggregation) counts as every worker whose
 // gradient was folded into it: Src encodes -(1+rack) for a rack stream
 // and -(1+racks+pod) for a pod stream (HierAggregation).
-func (cs *clusterSim) pushProcessed(srv int, it procItem) {
+func (cs *clusterSim) pushProcessed(srv int, it worker.Item) {
 	if cs.cfg.Strategy.Async {
-		cs.sendData(srv, it.chunk, it.iter, int(it.src))
+		cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
 		return
 	}
 	if cs.fs != nil && cs.fs.hasCrash {
@@ -1139,27 +959,27 @@ func (cs *clusterSim) pushProcessed(srv int, it procItem) {
 		return
 	}
 	s := &cs.servers[srv]
-	agg := &s.agg[it.chunk]
-	if agg.iter != it.iter {
-		agg.iter = it.iter
+	agg := &s.agg[it.Chunk]
+	if agg.iter != it.Iter {
+		agg.iter = it.Iter
 		agg.count = 0
 		agg.done = false
 	}
-	if it.src < 0 {
-		if idx := int(-1 - it.src); idx >= len(cs.rackPop) {
-			agg.count += cs.podExpect(idx-len(cs.rackPop), it.chunk)
+	if it.Src < 0 {
+		if idx := int(-1 - it.Src); idx >= len(cs.rackPop) {
+			agg.count += cs.podExpect(idx-len(cs.rackPop), it.Chunk)
 		} else {
-			agg.count += cs.aggExpect(idx, it.chunk)
+			agg.count += cs.aggExpect(idx, it.Chunk)
 		}
 	} else {
 		agg.count++
 	}
 	if agg.count == cs.cfg.Machines {
 		agg.done = true
-		if it.iter > s.lastDone[it.chunk] {
-			s.lastDone[it.chunk] = it.iter
+		if it.Iter > s.lastDone[it.Chunk] {
+			s.lastDone[it.Chunk] = it.Iter
 		}
-		cs.onUpdated(srv, it.chunk, it.iter)
+		cs.onUpdated(srv, it.Chunk, it.Iter)
 	}
 }
 
@@ -1311,14 +1131,14 @@ func (cs *clusterSim) onPull(m netsim.Message) {
 
 func (cs *clusterSim) onNotify(m netsim.Message) {
 	w := m.To
-	ws := &cs.workers[w]
+	hs := &cs.hosts[w]
 	l := cs.plan.Chunks[m.Chunk].Layer
-	ws.notifyCount[l]++
-	if ws.notifyCount[l] < len(cs.plan.LayerChunks(l)) {
+	hs.notifyCount[l]++
+	if hs.notifyCount[l] < len(cs.plan.LayerChunks(l)) {
 		return
 	}
 	// All shards of this layer updated: issue the pulls (MXNet semantics).
-	ws.notifyCount[l] = 0
+	hs.notifyCount[l] = 0
 	for _, id := range cs.plan.LayerChunks(l) {
 		cs.sendPull(w, int32(id), m.Iter)
 	}
@@ -1343,83 +1163,41 @@ func (cs *clusterSim) sendPull(w int, id, iter int32) {
 }
 
 func (cs *clusterSim) onData(m netsim.Message) {
-	cs.workers[m.To].proc.add(cs, procItem{chunk: m.Chunk, iter: m.Iter, src: m.Src, priority: m.Priority})
+	cs.hosts[m.To].proc.Add(worker.Item{Chunk: m.Chunk, Iter: m.Iter, Src: m.Src, Priority: m.Priority})
 }
 
-// installChunk marks an updated parameter chunk as usable by the next
-// forward pass and unblocks the worker if it was stalled on this layer.
+// installChunk hands an installed parameter chunk to worker w's timeline,
+// which unblocks the forward pass once the chunk's whole layer is in.
 func (cs *clusterSim) installChunk(w int, chunk, iter int32) {
 	if fs := cs.fs; fs != nil && fs.hasCrash {
 		// Crash recovery can deliver the same chunk twice (re-pull plus the
 		// original broadcast): only the first installation of an iteration
-		// counts, keeping recvCount consistent.
+		// counts, keeping the timeline's per-layer arrival count consistent.
 		if fs.gotIter[w][chunk] >= iter {
 			return
 		}
 		fs.gotIter[w][chunk] = iter
 	}
-	ws := &cs.workers[w]
-	l := cs.plan.Chunks[chunk].Layer
-	ws.recvCount[l]++
-	if ws.recvCount[l] < len(cs.plan.LayerChunks(l)) {
-		return
-	}
-	ws.recvCount[l] = 0
-	ws.readyIter[l] = iter
-	if ws.waitingFwd && ws.fwdLayer == l {
-		cs.advanceForward(w)
-	}
+	cs.workers[w].Arrived(cs.plan.Chunks[chunk].Layer, iter)
 }
 
 // ---- results ----
 
 func (cs *clusterSim) result() Result {
-	n := cs.cfg.Machines
-	// A wedged protocol leaves some worker's final iteration timestamp at
-	// zero after the event queue drained: fail loudly instead of reporting
-	// nonsense.
-	for w := 0; w < n; w++ {
-		if cs.workers[w].bwdDone[cs.total-1] == 0 {
-			panic(fmt.Sprintf("cluster: worker %d never finished iteration %d (%s/%s, %d servers): protocol wedged",
-				w, cs.total-1, cs.cfg.Model.Name, cs.cfg.Strategy.Name, cs.cfg.Servers))
-		}
-	}
-	makespan := func(iter int) sim.Time {
-		var t sim.Time
-		for w := 0; w < n; w++ {
-			if cs.workers[w].bwdDone[iter] > t {
-				t = cs.workers[w].bwdDone[iter]
-			}
-		}
-		return t
-	}
-	warmEnd := makespan(cs.cfg.WarmupIters - 1)
-	last := makespan(int(cs.total) - 1)
-	elapsed := last - warmEnd
-	samples := float64(cs.cfg.MeasureIters * n * cs.cfg.Model.BatchSize)
-
-	iterTimes := make([]sim.Time, 0, cs.cfg.MeasureIters)
-	prev := warmEnd
-	var sum sim.Time
-	for i := cs.cfg.WarmupIters; i < int(cs.total); i++ {
-		t := makespan(i)
-		iterTimes = append(iterTimes, t-prev)
-		sum += t - prev
-		prev = t
-	}
-
+	sum := worker.Summarize(cs.workers, cs.cfg.Model.BatchSize,
+		fmt.Sprintf("cluster %s/%s, %d servers", cs.cfg.Model.Name, cs.cfg.Strategy.Name, cs.cfg.Servers))
 	res := Result{
 		Model:           cs.cfg.Model.Name,
 		Strategy:        cs.cfg.Strategy.Name,
-		Machines:        n,
+		Machines:        cs.cfg.Machines,
 		BandwidthGbps:   cs.cfg.BandwidthGbps,
-		Throughput:      samples / elapsed.Seconds(),
-		MeanIterTime:    sum / sim.Time(len(iterTimes)),
-		IterTimes:       iterTimes,
-		ComputeIterTime: cs.timing.IterCompute,
-		WarmupEnd:       warmEnd,
+		Throughput:      sum.Throughput,
+		MeanIterTime:    sum.MeanIterTime,
+		IterTimes:       sum.IterTimes,
+		ComputeIterTime: cs.spec.Timing.IterCompute,
+		WarmupEnd:       sum.WarmupEnd,
 		MeasuredIters:   cs.cfg.MeasureIters,
-		LayerStalls:     cs.workers[0].layerStall,
+		LayerStalls:     cs.workers[0].Stalls(),
 		Events:          cs.exec.Processed(),
 		Msgs:            cs.net.MsgsDelivered(),
 		WireBytes:       cs.net.BytesDelivered(),

@@ -29,6 +29,7 @@ import (
 	"p3/internal/netsim"
 	"p3/internal/sim"
 	"p3/internal/strategy"
+	"p3/internal/worker"
 )
 
 // faultState is the per-run fault wiring. Nil on fault-free runs; the
@@ -232,18 +233,37 @@ func (cs *clusterSim) aggDrop(tier, idx int, m netsim.Message) {
 	}
 }
 
-// after schedules fn d after now on machine w's LP, deferring past any
-// worker-leave window containing now: a step that would start inside the
-// window instead runs its full duration from the rejoin instant.
-func (cs *clusterSim) after(w int, d sim.Time, fn func()) {
-	p := cs.procs[w]
-	if cs.fs != nil {
-		if rejoin, ok := cs.fs.plan.PausedAt(w, int64(p.Now())); ok {
-			p.At(sim.Time(rejoin)+d, fn)
-			return
-		}
+// computeProc is the scheduling handle worker w's compute timeline runs
+// on: machine w's LP, wrapped in the plan's straggler and leave windows
+// when the run has a fault plan.
+func (cs *clusterSim) computeProc(w int) sim.Proc {
+	if cs.fs == nil {
+		return cs.procs[w]
 	}
-	p.After(d, fn)
+	return faultedProc{Proc: cs.procs[w], plan: cs.fs.plan, w: w}
+}
+
+// faultedProc applies a fault plan's compute windows to the steps scheduled
+// through it, both read off the static plan at the worker's own clock (no
+// events, no cross-LP state): a straggler window multiplies a step that
+// starts inside it, and a step that would start inside a worker-leave
+// window instead runs its full duration from the rejoin instant.
+type faultedProc struct {
+	sim.Proc
+	plan *faults.Plan
+	w    int
+}
+
+func (p faultedProc) After(d sim.Time, fn func()) {
+	now := int64(p.Now())
+	if f := p.plan.SlowFactor(p.w, now); f != 1 {
+		d = sim.Time(float64(d) * f)
+	}
+	if rejoin, ok := p.plan.PausedAt(p.w, now); ok {
+		p.At(sim.Time(rejoin)+d, fn)
+		return
+	}
+	p.Proc.After(d, fn)
 }
 
 // rackDownDetected reports whether rack r's aggregator is down as
@@ -263,35 +283,35 @@ func (cs *clusterSim) podDownDetected(p int, now sim.Time) bool {
 // arm a re-push timer, and stale re-pushes of an already-completed
 // iteration are answered with the current value so the re-pusher also
 // recovers any broadcast it missed.
-func (cs *clusterSim) pushProcessedFaults(srv int, it procItem) {
+func (cs *clusterSim) pushProcessedFaults(srv int, it worker.Item) {
 	s := &cs.servers[srv]
-	if it.iter <= s.lastDone[it.chunk] {
-		if it.src >= 0 {
-			cs.sendData(srv, it.chunk, it.iter, int(it.src))
+	if it.Iter <= s.lastDone[it.Chunk] {
+		if it.Src >= 0 {
+			cs.sendData(srv, it.Chunk, it.Iter, int(it.Src))
 		}
 		return
 	}
-	agg := &s.agg[it.chunk]
-	if agg.iter != it.iter {
-		agg.iter = it.iter
+	agg := &s.agg[it.Chunk]
+	if agg.iter != it.Iter {
+		agg.iter = it.Iter
 		agg.count = 0
 		agg.done = false
-		seen := s.seen[it.chunk]
+		seen := s.seen[it.Chunk]
 		for i := range seen {
 			seen[i] = false
 		}
 		now := cs.procs[cs.srvMachine[srv]].Now()
 		if _, pending := cs.fs.plan.CrashOverlap(int64(now), int64(now)); pending {
-			cs.armBarrierCheck(srv, it.chunk, it.iter, now)
+			cs.armBarrierCheck(srv, it.Chunk, it.Iter, now)
 		}
 	}
-	agg.count += cs.markSeen(srv, it.chunk, int(it.src))
+	agg.count += cs.markSeen(srv, it.Chunk, int(it.Src))
 	if agg.count == cs.cfg.Machines && !agg.done {
 		agg.done = true
-		if it.iter > s.lastDone[it.chunk] {
-			s.lastDone[it.chunk] = it.iter
+		if it.Iter > s.lastDone[it.Chunk] {
+			s.lastDone[it.Chunk] = it.Iter
 		}
-		cs.onUpdated(srv, it.chunk, it.iter)
+		cs.onUpdated(srv, it.Chunk, it.Iter)
 	}
 }
 
@@ -432,8 +452,7 @@ func (cs *clusterSim) armStallCheck(w, l int, iter int32, since sim.Time) {
 
 func (cs *clusterSim) stallCheck(w, l int, iter int32, since sim.Time, delay sim.Time) {
 	cs.procs[w].After(delay, func() {
-		ws := &cs.workers[w]
-		if !ws.waitingFwd || ws.fwdLayer != l || ws.curIter != iter {
+		if wl, wi, waiting := cs.workers[w].Waiting(); !waiting || wl != l || wi != iter {
 			return
 		}
 		now := cs.procs[w].Now()

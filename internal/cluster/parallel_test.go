@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"p3/internal/netsim"
@@ -88,27 +87,6 @@ func TestShardedEngineFieldIgnored(t *testing.T) {
 	if got := Run(cfg); !reflect.DeepEqual(got, want) {
 		t.Errorf("second run on a reused engine diverges:\n got %+v\nwant %+v", got, want)
 	}
-}
-
-// TestZeroLookaheadRejected pins the failure mode of a latency-free
-// topology: conservative parallel execution has no safe window, and the
-// run must refuse loudly instead of deadlocking.
-func TestZeroLookaheadRejected(t *testing.T) {
-	cfg := shardedCfg(t, 4, "fifo")
-	net := netsim.DefaultConfig(cfg.BandwidthGbps)
-	net.PropDelay = 0
-	cfg.Net = &net
-	cfg.Shards = 2
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("sharded run on a zero-latency topology did not panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "lookahead") {
-			t.Fatalf("unhelpful zero-lookahead panic: %v", r)
-		}
-	}()
-	Run(cfg)
 }
 
 // TestShardedRecorderRejected pins that utilization tracing (shared

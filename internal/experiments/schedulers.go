@@ -11,8 +11,8 @@ import (
 )
 
 // SchedDisciplines returns the discipline sweep of the scheduler ablation:
-// every name in the sched registry (fifo, p3, rr, smallest, credit, tictac,
-// credit-adaptive, ...), applied to the same sliced/immediate-broadcast
+// every name in the sched registry (fifo, p3, smallest, credit, tictac,
+// credit-adaptive, damped, ...), applied to the same sliced/immediate-broadcast
 // strategy so ordering is the only variable. Reading the registry at call
 // time (not package init) means a discipline registered from anywhere —
 // even a late init — joins the sweep for free.
@@ -80,9 +80,9 @@ func schedCases(o Options) []struct {
 // SchedulerAblation compares every registered queue discipline on the zoo
 // models, on both aggregation paths — the payoff of extracting
 // internal/sched: the paper's p3-vs-fifo comparison becomes one row pair in
-// a sweep that also covers round-robin fairness, shortest-job-first,
-// ByteScheduler-style credit windows, TicTac critical-path ranking and
-// per-destination adaptive credit, with no change outside the strategy's
+// a sweep that also covers shortest-job-first, ByteScheduler-style credit
+// windows, TicTac critical-path ranking, per-destination adaptive credit
+// and fan-in-aware damping, with no change outside the strategy's
 // Sched name.
 func SchedulerAblation(o Options) []SchedulerRow {
 	warm, measure := o.iters()

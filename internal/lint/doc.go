@@ -16,14 +16,14 @@
 // # The invariants
 //
 // wallclock — a simulation Result must be a pure function of its inputs.
-// The discrete-event engines define time; the cluster model pre-draws all
-// randomness from seeded PCG streams (compute jitter is precomputed
-// per (worker, iteration) exactly so that event order cannot perturb the
-// random sequence). One time.Now or global-rand read anywhere in the
-// determinism-critical packages (sim, netsim, cluster, faults, ring, sched,
-// pq, trace) silently breaks the N-shard == 1-shard bit-identity contract,
-// so there the analyzer rejects wall-clock reads outright — even annotated
-// ones. Elsewhere (the real pstcp transport, experiment harnesses that
+// The discrete-event engines define time; the simulators pre-draw all
+// randomness from seeded PCG streams (worker.Jitter precomputes compute
+// jitter per (worker, iteration) exactly so that event order cannot
+// perturb the random sequence). One time.Now or global-rand read anywhere
+// in the determinism-critical packages (sim, netsim, cluster, faults, ring,
+// sched, pq, trace, worker) silently breaks the N-shard == 1-shard
+// bit-identity contract, so there the analyzer rejects wall-clock reads
+// outright — even annotated ones. Elsewhere (the real pstcp transport, experiment harnesses that
 // report wall-clock throughput, the CLI binaries) real time is legitimate
 // and is declared with //p3:wallclock-ok <reason>. Methods on an explicitly
 // seeded *rand.Rand and the seeded constructors (rand.New, NewPCG, ...) are

@@ -21,6 +21,7 @@ var CriticalPackages = []string{
 	"p3/internal/sched",
 	"p3/internal/pq",
 	"p3/internal/trace",
+	"p3/internal/worker",
 }
 
 // wallclockForbidden lists the banned package-level functions per package.

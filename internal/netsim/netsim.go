@@ -123,8 +123,8 @@ type Config struct {
 	// LocalDelay is the fixed loopback latency.
 	LocalDelay sim.Time
 	// Egress names the egress queue discipline (sched registry): "" or
-	// "fifo" for the baseline, "p3" for P3's priority queue, "rr",
-	// "smallest", "credit[:bytes]", ... Each NIC gets a fresh discipline
+	// "fifo" for the baseline, "p3" for P3's priority queue, "smallest",
+	// "credit[:bytes]", "damped", ... Each NIC gets a fresh discipline
 	// instance, so stateful disciplines never share state across machines.
 	Egress string
 	// Profile optionally supplies model timing to profile-aware egress

@@ -15,12 +15,16 @@
 // first layer's gradients — needed first in the next forward pass — become
 // ready last and at layer granularity must wait behind the whole backlog of
 // earlier collectives.
+//
+// Only the collective rounds live here. Each machine's compute timeline,
+// forward stall accounting and makespan reduction are internal/worker's,
+// shared with internal/cluster: a chunk's last ring round installs it on
+// the worker, and each machine's reductions run through a one-thread
+// worker.Pool.
 package ring
 
 import (
 	"fmt"
-	"math"
-	"math/rand/v2"
 
 	"p3/internal/core"
 	"p3/internal/model"
@@ -29,11 +33,14 @@ import (
 	"p3/internal/sim"
 	"p3/internal/strategy"
 	"p3/internal/trace"
+	"p3/internal/worker"
 )
 
 // Config describes one simulated all-reduce training run. Only the
 // granularity and ordering of the strategy matter here (there are no
-// parameter servers, so pull modes are meaningless).
+// parameter servers, so pull modes are meaningless). Warm-up, measured
+// iterations, seed and the Result's stall and throughput figures follow
+// internal/worker's timeline contract.
 type Config struct {
 	Model    *model.Model
 	Machines int
@@ -122,40 +129,22 @@ type chunkState struct {
 	iter       int32
 }
 
-type workerState struct {
-	readyIter  []int32
-	chunksDone []int // per layer: chunks fully reduced this iteration
-	fwdLayer   int
-	waitingFwd bool
-	waitSince  sim.Time
-	curIter    int32
-	bwdDone    []sim.Time
-	layerStall []sim.Time // cumulative forward stall per layer
-
-	reduce *sched.Queue[redItem]
-	busy   bool
-}
-
-type redItem struct {
-	chunk    int32
-	iter     int32
-	round    int
-	priority int32
-}
-
 type ringSim struct {
-	cfg     Config
-	eng     *sim.Engine
-	net     *netsim.Network
-	plan    *core.Plan
-	timing  *model.Timing
-	layers  int
-	total   int32
-	rounds  int // 2*(N-1)
-	workers []workerState
-	chunks  []chunkState
-	jitter  [][]float64
-	redRate float64
+	cfg    Config
+	eng    *sim.Engine
+	net    *netsim.Network
+	plan   *core.Plan
+	spec   *worker.Spec
+	rounds int // 2*(N-1)
+	// segBytes[c] is chunk c's per-round segment size: the tensor is cut
+	// into N ring segments.
+	segBytes []int64
+	workers  []*worker.Worker
+	// reduce[w] is machine w's reduction pool: one thread, so segments
+	// reduce strictly one after another in the strategy's order. Items
+	// carry the collective round in Src.
+	reduce []*worker.Pool
+	chunks []chunkState
 }
 
 // RunCalibrated is the two-pass calibrated mode: the first pass runs cfg as
@@ -207,52 +196,44 @@ func newRingSim(cfg Config) *ringSim {
 		cfg: cfg, eng: eng,
 		// Partition with a single "server": all-reduce has no placement,
 		// only granularity.
-		plan:    cfg.Strategy.Partition(cfg.Model, 1),
-		timing:  model.NewTiming(cfg.Model),
-		layers:  len(cfg.Model.Layers),
-		total:   int32(cfg.WarmupIters + cfg.MeasureIters),
-		rounds:  2 * (n - 1),
-		redRate: cfg.ReduceRateGBps,
+		plan:   cfg.Strategy.Partition(cfg.Model, 1),
+		rounds: 2 * (n - 1),
 	}
 	rs.net = netsim.New(eng, n, netCfg, rs.deliver, cfg.Recorder)
 
+	rs.segBytes = make([]int64, rs.plan.NumChunks())
 	rs.chunks = make([]chunkState, rs.plan.NumChunks())
 	for i := range rs.chunks {
 		rs.chunks[i] = chunkState{recvRounds: make([]int, n), iter: -1}
+		rs.segBytes[i] = max(rs.plan.Chunks[i].Bytes()/int64(n), 1)
 	}
 
+	rs.spec = &worker.Spec{
+		Timing: model.NewTiming(cfg.Model),
+		Plan:   rs.plan,
+		Warmup: cfg.WarmupIters,
+		Total:  cfg.WarmupIters + cfg.MeasureIters,
+	}
+	jitter := worker.Jitter(cfg.Seed, 0x51ce, cfg.Model.ComputeJitter, n, rs.spec.Total)
 	// Each machine's reduction queue runs the strategy's discipline on a
 	// fresh instance, mirroring the receiver-side consumer of Section 4.2.
-	redView := func(it redItem) sched.Item {
-		return sched.Item{Priority: it.priority, Bytes: rs.segBytes(it.chunk)}
+	redView := func(it worker.Item) sched.Item {
+		return sched.Item{Priority: it.Priority, Bytes: rs.segBytes[it.Chunk]}
 	}
-	rs.workers = make([]workerState, n)
+	rs.workers = make([]*worker.Worker, n)
+	rs.reduce = make([]*worker.Pool, n)
 	for w := range rs.workers {
-		ws := &rs.workers[w]
-		ws.readyIter = make([]int32, rs.layers)
-		for l := range ws.readyIter {
-			ws.readyIter[l] = -1
-		}
-		ws.chunksDone = make([]int, rs.layers)
-		ws.bwdDone = make([]sim.Time, rs.total)
-		ws.layerStall = make([]sim.Time, rs.layers)
+		rs.workers[w] = worker.New(eng, rs.spec, jitter[w], worker.Hooks{
+			GradReady: func(l int, iter int32) {
+				for _, id := range rs.plan.LayerChunks(l) {
+					rs.gradProduced(int32(id), iter)
+				}
+			},
+		})
 		disc := sched.ApplyProfile(sched.MustByName(cfg.Strategy.Discipline()), prof)
 		sched.ApplySource(disc, int32(w)) // owner seed for source-aware disciplines
-		ws.reduce = sched.NewQueue(disc, redView)
-	}
-
-	rs.jitter = make([][]float64, n)
-	rng := rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(cfg.Seed)^0x51ce))
-	sigma := cfg.Model.ComputeJitter
-	for w := range rs.jitter {
-		rs.jitter[w] = make([]float64, rs.total)
-		for i := range rs.jitter[w] {
-			if sigma == 0 {
-				rs.jitter[w][i] = 1
-				continue
-			}
-			rs.jitter[w][i] = math.Exp(rng.NormFloat64()*sigma - sigma*sigma/2)
-		}
+		rs.reduce[w] = worker.NewPool(1, cfg.ReduceOverhead, cfg.ReduceRateGBps, rs.segBytes,
+			sched.NewQueue(disc, redView), eng, func(it worker.Item) { rs.roundDone(w, it) })
 	}
 	return rs
 }
@@ -261,58 +242,9 @@ func (rs *ringSim) start() {
 	if rs.cfg.Recorder != nil {
 		rs.cfg.Recorder.Start(0)
 	}
-	for w := 0; w < rs.cfg.Machines; w++ {
-		rs.advanceForward(w)
+	for _, w := range rs.workers {
+		w.Start()
 	}
-}
-
-func (rs *ringSim) scaled(w int, iter int32, d sim.Time) sim.Time {
-	return sim.Time(float64(d) * rs.jitter[w][iter])
-}
-
-func (rs *ringSim) advanceForward(w int) {
-	ws := &rs.workers[w]
-	if ws.fwdLayer == rs.layers {
-		rs.stepBackward(w, rs.layers-1)
-		return
-	}
-	l := ws.fwdLayer
-	if ws.readyIter[l] < ws.curIter-1 {
-		if !ws.waitingFwd {
-			ws.waitingFwd = true
-			ws.waitSince = rs.eng.Now()
-		}
-		return
-	}
-	if ws.waitingFwd {
-		ws.waitingFwd = false
-		if ws.curIter >= int32(rs.cfg.WarmupIters) {
-			ws.layerStall[l] += rs.eng.Now() - ws.waitSince
-		}
-	}
-	rs.eng.After(rs.scaled(w, ws.curIter, rs.timing.Fwd[l]), func() {
-		ws.fwdLayer = l + 1
-		rs.advanceForward(w)
-	})
-}
-
-func (rs *ringSim) stepBackward(w, l int) {
-	ws := &rs.workers[w]
-	rs.eng.After(rs.scaled(w, ws.curIter, rs.timing.Bwd[l]), func() {
-		for _, id := range rs.plan.LayerChunks(l) {
-			rs.gradProduced(int32(id), ws.curIter)
-		}
-		if l > 0 {
-			rs.stepBackward(w, l-1)
-			return
-		}
-		ws.bwdDone[ws.curIter] = rs.eng.Now()
-		ws.curIter++
-		if ws.curIter < rs.total {
-			ws.fwdLayer = 0
-			rs.advanceForward(w)
-		}
-	})
 }
 
 // gradProduced counts backward completions; the collective launches when
@@ -336,106 +268,49 @@ func (rs *ringSim) gradProduced(chunk, iter int32) {
 	}
 }
 
-// segBytes is the per-round segment size: the tensor is cut into N ring
-// segments.
-func (rs *ringSim) segBytes(chunk int32) int64 {
-	b := rs.plan.Chunks[chunk].Bytes() / int64(rs.cfg.Machines)
-	if b < 1 {
-		b = 1
-	}
-	return b
-}
-
-func (rs *ringSim) sendRound(from int, chunk, iter int32, round int) {
+func (rs *ringSim) sendRound(from int, chunk, iter int32, round int32) {
 	to := (from + 1) % rs.cfg.Machines
 	rs.net.Send(netsim.Message{
-		From: from, To: to, Bytes: rs.segBytes(chunk),
+		From: from, To: to, Bytes: rs.segBytes[chunk],
 		Priority: int32(rs.plan.Chunks[chunk].Priority),
-		Kind:     1, Chunk: chunk, Iter: iter, Src: int32(round),
+		Kind:     1, Chunk: chunk, Iter: iter, Src: round,
 	})
 }
 
-// deliver: a ring segment arrived; queue its local reduction.
+// deliver: a ring segment arrived; queue its local reduction, priority
+// ordered under P3 — the receiver-side consumer of Section 4.2
+// transplanted onto the all-reduce.
 func (rs *ringSim) deliver(m netsim.Message) {
-	ws := &rs.workers[m.To]
-	ws.reduce.Push(redItem{chunk: m.Chunk, iter: m.Iter, round: int(m.Src), priority: m.Priority})
-	rs.pumpReduce(m.To)
+	rs.reduce[m.To].Add(worker.Item{Chunk: m.Chunk, Iter: m.Iter, Src: m.Src, Priority: m.Priority})
 }
 
-// pumpReduce serializes local segment reductions per machine, priority
-// ordered under P3 — the receiver-side consumer of Section 4.2 transplanted
-// onto the all-reduce.
-func (rs *ringSim) pumpReduce(w int) {
-	ws := &rs.workers[w]
-	if ws.busy {
-		return
-	}
-	it, ok := ws.reduce.PopReady()
-	if !ok {
-		return
-	}
-	ws.busy = true
-	cost := rs.cfg.ReduceOverhead + sim.Time(float64(rs.segBytes(it.chunk))/rs.redRate)
-	rs.eng.After(cost, func() {
-		ws.busy = false
-		ws.reduce.Done(it)
-		rs.roundDone(w, it)
-		rs.pumpReduce(w)
-	})
-}
-
-func (rs *ringSim) roundDone(w int, it redItem) {
-	cst := &rs.chunks[it.chunk]
-	if cst.iter != it.iter {
+func (rs *ringSim) roundDone(w int, it worker.Item) {
+	cst := &rs.chunks[it.Chunk]
+	if cst.iter != it.Iter {
 		return // stale segment from a previous iteration's tail
 	}
 	cst.recvRounds[w]++
-	if it.round+1 < rs.rounds {
-		rs.sendRound(w, it.chunk, it.iter, it.round+1)
+	if int(it.Src)+1 < rs.rounds {
+		rs.sendRound(w, it.Chunk, it.Iter, it.Src+1)
 	}
 	if cst.recvRounds[w] == rs.rounds {
-		rs.chunkComplete(w, it.chunk, it.iter)
-	}
-}
-
-func (rs *ringSim) chunkComplete(w int, chunk, iter int32) {
-	ws := &rs.workers[w]
-	l := rs.plan.Chunks[chunk].Layer
-	ws.chunksDone[l]++
-	if ws.chunksDone[l] < len(rs.plan.LayerChunks(l)) {
-		return
-	}
-	ws.chunksDone[l] = 0
-	ws.readyIter[l] = iter
-	if ws.waitingFwd && ws.fwdLayer == l {
-		rs.advanceForward(w)
+		rs.workers[w].Arrived(rs.plan.Chunks[it.Chunk].Layer, it.Iter)
 	}
 }
 
 func (rs *ringSim) result() Result {
-	n := rs.cfg.Machines
-	makespan := func(iter int) sim.Time {
-		var t sim.Time
-		for w := 0; w < n; w++ {
-			if rs.workers[w].bwdDone[iter] > t {
-				t = rs.workers[w].bwdDone[iter]
-			}
-		}
-		return t
-	}
-	warmEnd := makespan(rs.cfg.WarmupIters - 1)
-	last := makespan(int(rs.total) - 1)
-	samples := float64(rs.cfg.MeasureIters * n * rs.cfg.Model.BatchSize)
+	sum := worker.Summarize(rs.workers, rs.cfg.Model.BatchSize,
+		fmt.Sprintf("ring %s/%s x%d", rs.cfg.Model.Name, rs.cfg.Strategy.Name, rs.cfg.Machines))
 	return Result{
 		Model:         rs.cfg.Model.Name,
 		Strategy:      rs.cfg.Strategy.Name,
-		Machines:      n,
+		Machines:      rs.cfg.Machines,
 		BandwidthGbps: rs.cfg.BandwidthGbps,
-		Throughput:    samples / (last - warmEnd).Seconds(),
-		MeanIterTime:  (last - warmEnd) / sim.Time(rs.cfg.MeasureIters),
-		ComputeIter:   rs.timing.IterCompute,
+		Throughput:    sum.Throughput,
+		MeanIterTime:  sum.MeanIterTime,
+		ComputeIter:   rs.spec.Timing.IterCompute,
 		MeasuredIters: rs.cfg.MeasureIters,
-		LayerStalls:   rs.workers[0].layerStall,
+		LayerStalls:   rs.workers[0].Stalls(),
 		Events:        rs.eng.Processed(),
 	}
 }

@@ -84,7 +84,7 @@ const dampedRotBits = 16
 // NewDamped wraps base in the damped rank transform with the given weight
 // (0 selects DefaultDampWeight). base must be priority-ordered — p3,
 // tictac, or a credit discipline; bases that rank at enqueue themselves
-// (rr, another damped) or order by something other than the priority class
+// (another damped) or order by something other than the priority class
 // (fifo, smallest) are rejected.
 func NewDamped(base Discipline, weight int64) (Discipline, error) {
 	if _, ok := base.(Ranker); ok {

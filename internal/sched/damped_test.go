@@ -38,8 +38,7 @@ func TestDampedRegistry(t *testing.T) {
 		t.Fatal("damped:p3 must not present an Admitter (base has none)")
 	}
 	for _, bad := range []string{
-		"damped:rr",       // ranks at enqueue
-		"damped:damped",   // ditto
+		"damped:damped",   // ranks at enqueue
 		"damped:fifo",     // not priority-ordered
 		"damped:smallest", // ordered by size, not priority
 		"damped:nope",     // unknown base

@@ -19,14 +19,12 @@
 // A Discipline is a named comparator: Less reports which of two Items is
 // more urgent, and equal items always dequeue in insertion order, which
 // keeps the discrete-event simulator reproducible and matches the paper's
-// implementation (slices of one layer go out in order). Three optional
+// implementation (slices of one layer go out in order). Two optional
 // interfaces extend it:
 //
 //   - Ranker: assigns an ordering key at enqueue time, for stateful orders
-//     a pure comparator cannot express (rr's stride scheduling, damped's
-//     epoch rank). Rank is called exactly once per item, before insertion.
-//   - Dispatcher: observes dequeues (OnDispatch), e.g. to advance a
-//     virtual clock.
+//     a pure comparator cannot express (damped's epoch rank). Rank is
+//     called exactly once per item, before insertion.
 //   - Admitter: gates dispatch with a credit window. Admit is consulted
 //     before an item may start; OnStart/OnDone bracket its in-flight
 //     interval; an Admitter must admit at least one item when nothing is
@@ -127,7 +125,7 @@
 // meaningful destination), and the dispatcher selects among the flow heads
 // by discipline order, global insertion order on ties. For plain
 // disciplines this is indistinguishable from one priority heap — fifo, p3,
-// rr, smallest and tictac dequeue bit-identically to a single queue. The
+// smallest and tictac dequeue bit-identically to a single queue. The
 // structure pays off under an Admitter: PopReady consults flow heads in
 // urgency order and dispatches the first one admitted, so a destination
 // whose credit window is exhausted never blocks admissible traffic bound
@@ -184,8 +182,6 @@
 //   - fifo (baseline): insertion order — the MXNet/ps-lite wire behaviour.
 //   - p3 (priority, p3priority): strict priority, lower Item.Priority
 //     first — the paper's mechanism.
-//   - rr (roundrobin): round-robin across priority classes via stride
-//     scheduling — layers share the wire instead of starving each other.
 //   - smallest (sjf): smallest payload first — the model-blind foil for
 //     slicing experiments.
 //   - tictac (dag, criticalpath): critical-path order from the timing
@@ -197,7 +193,7 @@
 //   - damped[:base[@weight]] (damp): fan-in-aware priority damping over a
 //     priority-ordered base (default p3, weight 8): bounded-horizon
 //     urgency plus per-source tie rotation. Rejects bases that rank at
-//     enqueue (rr, damped) or order by something other than priority
+//     enqueue (damped) or order by something other than priority
 //     (fifo, smallest).
 //
 // ByName's unknown-name diagnostic (and Usage) spells the parameterized

@@ -105,7 +105,7 @@ func TestCancelAfterHeadSkip(t *testing.T) {
 // against the pre-refactor reference semantics (discipline order, global
 // insertion order on ties).
 func TestPerFlowMatchesSingleQueue(t *testing.T) {
-	for _, name := range []string{"fifo", "p3", "rr", "smallest", "tictac"} {
+	for _, name := range []string{"fifo", "p3", "smallest", "tictac"} {
 		rng := rand.New(rand.NewPCG(3, uint64(len(name))))
 		for trial := 0; trial < 20; trial++ {
 			var pri []int32

@@ -17,7 +17,7 @@ import (
 // dispatcher (Pop/PopReady) selects among the flow heads — discipline order
 // first, global insertion order on ties. For plain disciplines this is
 // indistinguishable from one priority heap (the most urgent flow head IS the
-// global minimum), so fifo, p3, rr, smallest and tictac dequeue bit-identically
+// global minimum), so fifo, p3, smallest and tictac dequeue bit-identically
 // to a single queue. The structure pays off under an Admitter: when a flow's
 // head is refused by its credit window, PopReady skips to the most urgent
 // admissible head of another flow instead of blocking every destination
@@ -38,9 +38,8 @@ import (
 // it must be pure (the queue may call it more than once per element).
 type Queue[T any] struct {
 	d    Discipline
-	rank Ranker     // non-nil iff d ranks at enqueue
-	disp Dispatcher // non-nil iff d tracks dispatches
-	adm  Admitter   // non-nil iff d gates with a credit window
+	rank Ranker   // non-nil iff d ranks at enqueue
+	adm  Admitter // non-nil iff d gates with a credit window
 	view func(T) Item
 
 	flows map[int32]*flow[T] // non-empty flows only, keyed by Item.Dest
@@ -67,10 +66,16 @@ type entry[T any] struct {
 
 // NewQueue builds a queue ordered by d. d must be a fresh instance not
 // shared with any other queue (stateful disciplines carry per-queue state).
+//
+// NewQueue must not inline: its flow-head comparator closure would then be
+// compiled in the caller's package, where pq's Peek no longer inlines into
+// it. Measured on a 2-CPU host, that made the 64-machine PS cell
+// (BenchmarkScale64Machines) 15-20% slower.
+//
+//go:noinline
 func NewQueue[T any](d Discipline, view func(T) Item) *Queue[T] {
 	q := &Queue[T]{d: d, view: view, flows: make(map[int32]*flow[T])}
 	q.rank, _ = d.(Ranker)
-	q.disp, _ = d.(Dispatcher)
 	q.adm, _ = d.(Admitter)
 	q.heads = pq.NewIndexed(
 		func(a, b *flow[T]) bool {
@@ -162,9 +167,6 @@ func (q *Queue[T]) take(f *flow[T]) T {
 	}
 	if q.adm != nil {
 		q.adm.OnStart(e.it)
-	}
-	if q.disp != nil {
-		q.disp.OnDispatch(e.it)
 	}
 	return e.v
 }

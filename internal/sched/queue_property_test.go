@@ -11,7 +11,7 @@ import (
 // linear-scan reference (reference_test.go) under random interleavings of
 // push, pop, admission-gated pop, credit acknowledgements, cancels and
 // blocked probes. Both sides run their own fresh discipline instance;
-// stateful disciplines (rr's stride clock, credit-adaptive's AIMD windows)
+// stateful disciplines (damped's epoch counter, credit-adaptive's AIMD windows)
 // stay in lockstep only while every walk consults Admit in the same order,
 // so any divergence — in result OR in internal walk order — surfaces as a
 // mismatch within a few steps.
@@ -22,7 +22,7 @@ func TestDispatchMatchesLinearScanReference(t *testing.T) {
 		GbpsEstimate: 1.5,
 	}
 	disciplines := []string{
-		"fifo", "p3", "rr", "smallest", "tictac",
+		"fifo", "p3", "damped", "smallest", "tictac",
 		"credit:1500", "credit-adaptive:1500",
 	}
 	for _, name := range disciplines {
@@ -147,7 +147,7 @@ func TestDrainedFlowsAreEvicted(t *testing.T) {
 // hot path: once slabs have grown, push/dispatch/release cycles allocate
 // nothing, for plain, ranked and credit-gated disciplines alike.
 func TestQueueSteadyStateAllocs(t *testing.T) {
-	for _, name := range []string{"p3", "rr", "credit-adaptive:1048576"} {
+	for _, name := range []string{"p3", "damped", "credit-adaptive:1048576"} {
 		t.Run(name, func(t *testing.T) {
 			ident := func(it Item) Item { return it }
 			q := NewQueue(MustByName(name), ident)

@@ -17,7 +17,6 @@ import (
 type refQueue[T any] struct {
 	d    Discipline
 	rank Ranker
-	disp Dispatcher
 	adm  Admitter
 	view func(T) Item
 
@@ -36,7 +35,6 @@ type refFlow[T any] struct {
 func newRefQueue[T any](d Discipline, view func(T) Item) *refQueue[T] {
 	q := &refQueue[T]{d: d, view: view, flows: make(map[int32]*refFlow[T])}
 	q.rank, _ = d.(Ranker)
-	q.disp, _ = d.(Dispatcher)
 	q.adm, _ = d.(Admitter)
 	return q
 }
@@ -108,9 +106,6 @@ func (q *refQueue[T]) take(f *refFlow[T]) T {
 	q.n--
 	if q.adm != nil {
 		q.adm.OnStart(e.it)
-	}
-	if q.disp != nil {
-		q.disp.OnDispatch(e.it)
 	}
 	return e.v
 }

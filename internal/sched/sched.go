@@ -37,7 +37,7 @@ type Item struct {
 	// BenchmarkQueueManyFlows/p3).
 	Dest int32
 	// rank is a discipline-assigned ordering key, set by a Ranker at
-	// enqueue time (e.g. the stride-scheduling pass of rr).
+	// enqueue time (damped's epoch rank).
 	rank uint64
 }
 
@@ -54,18 +54,12 @@ type Discipline interface {
 
 // Ranker is implemented by disciplines that assign an ordering key at
 // enqueue time (stateful orders that a pure comparator cannot express, such
-// as round-robin). Rank is called exactly once per item, before insertion,
+// as damped's arrival epoch). Rank is called exactly once per item, before insertion,
 // and returns the stamped item. (Value-in/value-out rather than a pointer:
 // passing a stack Item's address through the interface would force every
 // enqueue — under every discipline — to heap-allocate the view.)
 type Ranker interface {
 	Rank(it Item) Item
-}
-
-// Dispatcher is implemented by disciplines that track dequeues (e.g. to
-// advance a virtual clock). OnDispatch is called when an item is popped.
-type Dispatcher interface {
-	OnDispatch(it Item)
 }
 
 // Admitter is implemented by disciplines that gate dispatch with a credit
@@ -178,42 +172,6 @@ func NewP3Priority() *P3Priority { return &P3Priority{} }
 
 func (*P3Priority) Name() string        { return "p3" }
 func (*P3Priority) Less(a, b Item) bool { return a.Priority < b.Priority }
-
-// RoundRobinLayer interleaves priority classes (layers) fairly via stride
-// scheduling: each class holds a pass counter, every enqueued item is
-// stamped with its class's next pass (never behind the virtual clock of the
-// last dispatch, so an idle class cannot hoard credit), and the smallest
-// pass dequeues first. The result is one-from-each-layer round-robin rather
-// than strict preemption.
-type RoundRobinLayer struct {
-	pass    map[int32]uint64
-	virtual uint64
-}
-
-// NewRoundRobinLayer returns the rr discipline.
-func NewRoundRobinLayer() *RoundRobinLayer {
-	return &RoundRobinLayer{pass: make(map[int32]uint64)}
-}
-
-func (*RoundRobinLayer) Name() string { return "rr" }
-
-func (r *RoundRobinLayer) Less(a, b Item) bool { return a.rank < b.rank }
-
-func (r *RoundRobinLayer) Rank(it Item) Item {
-	p := r.pass[it.Priority]
-	if p < r.virtual {
-		p = r.virtual
-	}
-	it.rank = p
-	r.pass[it.Priority] = p + 1
-	return it
-}
-
-func (r *RoundRobinLayer) OnDispatch(it Item) {
-	if it.rank+1 > r.virtual {
-		r.virtual = it.rank + 1
-	}
-}
 
 // SmallestFirst dequeues the smallest payload first (shortest-job-first),
 // breaking ties by priority. It minimizes mean queueing delay without any
@@ -550,7 +508,7 @@ func Register(name string, f Factory, alias ...string) {
 }
 
 // noArg wraps a parameterless discipline constructor into a Factory that
-// rejects stray arguments ("rr:junk" must not silently resolve to rr).
+// rejects stray arguments ("p3:junk" must not silently resolve to p3).
 func noArg(name string, mk func() Discipline) Factory {
 	return func(arg string) (Discipline, error) {
 		if arg != "" {
@@ -576,7 +534,6 @@ func windowArg(name, arg string) (int64, error) {
 func init() {
 	Register("fifo", noArg("fifo", func() Discipline { return NewFIFO() }), "baseline")
 	Register("p3", noArg("p3", func() Discipline { return NewP3Priority() }), "priority", "p3priority")
-	Register("rr", noArg("rr", func() Discipline { return NewRoundRobinLayer() }), "roundrobin")
 	Register("smallest", noArg("smallest", func() Discipline { return NewSmallestFirst() }), "sjf")
 	Register("tictac", noArg("tictac", func() Discipline { return NewTicTac() }), "dag", "criticalpath")
 	Register("credit", func(arg string) (Discipline, error) {

@@ -64,49 +64,6 @@ func TestSmallestFirstOrder(t *testing.T) {
 	}
 }
 
-func TestRoundRobinInterleavesLayers(t *testing.T) {
-	// Three items of layer 0 queued before three of layer 1: strict priority
-	// would emit 0,0,0,1,1,1; round-robin must alternate.
-	pri := []int32{0, 0, 0, 1, 1, 1}
-	q := NewQueue(NewRoundRobinLayer(), func(i int) Item { return Item{Priority: pri[i]} })
-	fill(q, pri, nil)
-	got := drain(q)
-	var layers []int32
-	for _, v := range got {
-		layers = append(layers, pri[v])
-	}
-	want := []int32{0, 1, 0, 1, 0, 1}
-	for i := range want {
-		if layers[i] != want[i] {
-			t.Fatalf("rr layer order %v, want %v", layers, want)
-		}
-	}
-}
-
-func TestRoundRobinLateFlowDoesNotHoardCredit(t *testing.T) {
-	pri := []int32{0, 0, 0, 0, 1}
-	q := NewQueue(NewRoundRobinLayer(), func(i int) Item { return Item{Priority: pri[i]} })
-	// Dispatch several layer-0 items, then a layer-1 item arrives: it must
-	// not jump ahead of everything by starting at pass 0.
-	for i := 0; i < 3; i++ {
-		q.Push(i)
-	}
-	for i := 0; i < 3; i++ {
-		if _, ok := q.Pop(); !ok {
-			t.Fatal("pop failed")
-		}
-	}
-	q.Push(3) // layer 0 again
-	q.Push(4) // layer 1, first appearance
-	first, _ := q.Pop()
-	second, _ := q.Pop()
-	// Both were stamped at the current virtual time, so insertion order
-	// (layer 0's item first) must hold — not a burst of the late flow.
-	if first != 3 || second != 4 {
-		t.Fatalf("late-flow pop order (%d,%d), want (3,4)", first, second)
-	}
-}
-
 func TestCreditGatedWindow(t *testing.T) {
 	pri := []int32{5, 5, 0}
 	bytes := []int64{600, 600, 100}
@@ -148,7 +105,7 @@ func TestCreditGatedWindow(t *testing.T) {
 }
 
 func TestByNameRegistry(t *testing.T) {
-	for _, name := range []string{"fifo", "p3", "rr", "smallest", "credit", "tictac", "credit-adaptive"} {
+	for _, name := range []string{"fifo", "p3", "smallest", "credit", "tictac", "credit-adaptive"} {
 		d, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -159,7 +116,7 @@ func TestByNameRegistry(t *testing.T) {
 	}
 	for alias, canon := range map[string]string{
 		"baseline": "fifo", "priority": "p3", "p3priority": "p3",
-		"roundrobin": "rr", "sjf": "smallest", "bytescheduler": "credit",
+		"sjf": "smallest", "bytescheduler": "credit",
 		"dag": "tictac", "criticalpath": "tictac", "adaptive": "credit-adaptive",
 	} {
 		d, err := ByName(alias)
@@ -451,15 +408,14 @@ func TestAdaptiveCreditQueueNeverExceedsWindow(t *testing.T) {
 }
 
 func TestByNameReturnsFreshInstances(t *testing.T) {
-	a := MustByName("rr").(*RoundRobinLayer)
-	b := MustByName("rr").(*RoundRobinLayer)
-	ita := Item{Priority: 7}
-	ita = a.Rank(ita)
-	ita = a.Rank(ita)
-	itb := Item{Priority: 7}
-	itb = b.Rank(itb)
-	if itb.rank != 0 {
-		t.Fatal("rr instances share pass state across queues")
+	a := MustByName("damped").(*Damped)
+	b := MustByName("damped").(*Damped)
+	a.Rank(Item{Priority: 7})
+	a.Rank(Item{Priority: 7})
+	// A fresh instance starts at epoch 0: rank = Weight x class in the
+	// high bits.
+	if got, want := b.Rank(Item{Priority: 7}).rank>>dampedRotBits, uint64(DefaultDampWeight*7); got != want {
+		t.Fatalf("fresh damped instance ranked at %d, want %d: instances share epoch state", got, want)
 	}
 }
 

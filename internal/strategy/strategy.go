@@ -4,8 +4,8 @@
 // cluster simulator and by the TCP parameter server.
 //
 // Transmission order is not an enum here: the Sched field names a queue
-// discipline in the internal/sched registry ("fifo", "p3", "rr",
-// "smallest", "credit[:bytes]", ...), and every scheduling site — the
+// discipline in the internal/sched registry ("fifo", "p3", "smallest",
+// "credit[:bytes]", "damped", ...), and every scheduling site — the
 // simulator's NIC egress queues and endpoint processing pools, and the TCP
 // transport's send/receive queues — resolves that name to a fresh
 // discipline instance. The named strategies below are thin presets over
